@@ -49,6 +49,7 @@ from .hadamard import (
     pyramid_cross_check,
     pyramid_plane,
     reduce_to_symmetric,
+    walsh_hadamard,
     weight_labels,
 )
 from .matrix import CheckReport, Matrix, SuiteReport

@@ -3,9 +3,11 @@
 The n-fold Kronecker power of the 2x2 Hadamard matrix disperses the
 symmetric structure across 2^n indices; grouping rows and columns by the
 binary weight of their index (the popcount) and summing the classes
-collapses it back to the (n+1) x (n+1) symmetric Krawtchouk matrix.  numpy
-carries the 2^n x 2^n intermediate (entries are +-1 and the class sums are
-small integers, so int64 arithmetic is exact).
+collapses it back to the (n+1) x (n+1) symmetric Krawtchouk matrix.  The
+2^n x 2^n intermediate is never stored: H^kron(n) factors into n butterfly
+stages (the fast Walsh-Hadamard transform), so one O(n 2^n) transform of a
+weight-class indicator gives a whole column of class sums, exactly, in
+Python integers.
 
 Stacking the Krawtchouk matrices by order forms a pyramid whose plane
 sections are Pascal-like triangles.  The four section families and their
@@ -25,15 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
+from operator import add, sub
 
 from .core import KrawtchoukMatrix, genfunc_column, k_entry, k_genfunc
 from .matrix import CheckReport, Matrix
 from .rings import ZZ
 
-REDUCE_BOUND = 14
-LABEL_BOUND = 30
+REDUCE_BOUND = 16  # 2^n-entry lists, n + 1 transforms
 
 DIRECTIONS = ("west-down", "east-down", "north-up", "south-up")
 
@@ -55,8 +55,8 @@ class WeightLabeling:
 
 def weight_labels(n: int) -> WeightLabeling:
     """w(0) = 0 and w(2^m + k) = w(k) + 1; cross-checked against popcount."""
-    if not 0 <= n <= LABEL_BOUND:
-        raise ValueError(f"weight labeling bound is 0..{LABEL_BOUND}")
+    if not 0 <= n <= REDUCE_BOUND:
+        raise ValueError(f"weight labeling bound is 0..{REDUCE_BOUND}")
     labels = [0]
     for _ in range(n):
         labels = labels + [w + 1 for w in labels]
@@ -66,12 +66,24 @@ def weight_labels(n: int) -> WeightLabeling:
     return WeightLabeling(n, tuple(labels))
 
 
-def sylvester_numpy(n: int) -> np.ndarray:
-    """H^kron(n) as an int8 array of +-1 (16 MB at the n = 12 worst case)."""
-    h = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    out = np.array([[1]], dtype=np.int8)
-    for _ in range(n):
-        out = np.kron(out, h)
+def walsh_hadamard(vec) -> list:
+    """H^kron(n) times a length-2^n integer vector, in n butterfly stages.
+
+    Each stage applies the 2x2 Hadamard matrix to the top index bit and
+    rotates it to the bottom: with halves a, b of the current list, the even
+    slots receive a + b and the odd slots a - b.  After n stages every bit
+    has been transformed once and is back in place, so entry a of the result
+    is sum_b (-1)^popcount(a & b) vec[b].
+    """
+    size = len(vec)
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"vector length {size} is not a power of two")
+    half = size // 2
+    out = list(vec)
+    for _ in range(size.bit_length() - 1):
+        a, b = out[:half], out[half:]
+        out[0::2] = map(add, a, b)
+        out[1::2] = map(sub, a, b)
     return out
 
 
@@ -79,20 +91,22 @@ def reduce_to_symmetric(n: int) -> Matrix:
     """Collapse H^kron(n) by weight classes; equals the symmetric matrix.
 
     S_{pq} = sum of H^kron entries over rows of weight p, columns of
-    weight q.  Sums are accumulated in int64, which is exact: each class
-    block holds at most 2^n * 2^n values of +-1.
+    weight q.  H^kron(n) applied to the indicator of the weight-q class,
+    by the butterfly factorisation, gives every row's sum over those
+    columns; summing that image over each weight-p class of rows gives
+    column q.  Every Sylvester entry still enters, in factored form; the
+    route shares no code with the generating function, so it stays an
+    independent construction of the symmetric matrix.
     """
     if not 0 <= n <= REDUCE_BOUND:
         raise ValueError(f"reduction bound is 0..{REDUCE_BOUND}")
-    sylvester = sylvester_numpy(n)
-    labels = np.array(weight_labels(n).labels)
-    classes = [np.flatnonzero(labels == p) for p in range(n + 1)]
-    rows = []
-    for p in range(n + 1):
-        block_rows = sylvester[classes[p], :]
-        rows.append([int(block_rows[:, classes[q]].sum(dtype=np.int64))
-                     for q in range(n + 1)])
-    return Matrix(ZZ, rows)
+    labeling = weight_labels(n)
+    classes = labeling.classes()
+    cols = []
+    for q in range(n + 1):
+        image = walsh_hadamard([int(w == q) for w in labeling.labels])
+        cols.append([sum(map(image.__getitem__, rows)) for rows in classes])
+    return Matrix(ZZ, [list(row) for row in zip(*cols)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Sylvester reduction, weight labels, and pyramid planes."""
 
+import random
 from math import comb
 
 import pytest
 
-from krawtchouk import core, hadamard
+from krawtchouk import core, hadamard, sympow
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import ZZ
 
@@ -18,15 +19,33 @@ def test_weight_labels_doubling():
         labels = hadamard.weight_labels(n).labels
         assert all(labels[k] == k.bit_count() for k in range(2 ** n))
     with pytest.raises(ValueError):
+        hadamard.weight_labels(hadamard.REDUCE_BOUND + 1)
+    with pytest.raises(ValueError):
         hadamard.weight_labels(31)
 
 
-def test_sylvester_matrix_values():
-    h3 = hadamard.sylvester_numpy(3)
-    # entry (a, b) is the parity of the overlap of the binary indices
-    for a in range(8):
-        for b in range(8):
-            assert h3[a, b] == (-1) ** (a & b).bit_count()
+def test_walsh_hadamard_unit_columns():
+    # the image of e_b is column b; entry (a, b) is the parity of the
+    # overlap of the binary indices
+    for b in range(8):
+        unit = [int(k == b) for k in range(8)]
+        assert hadamard.walsh_hadamard(unit) == \
+            [(-1) ** (a & b).bit_count() for a in range(8)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_walsh_hadamard_matches_kron_power(n):
+    rng = random.Random(n)
+    h_kron = sympow.kron_power(sympow.MAT_H, n)
+    for _ in range(3):
+        vec = [rng.randint(-50, 50) for _ in range(2 ** n)]
+        assert hadamard.walsh_hadamard(vec) == h_kron.mul_vector(vec)
+
+
+def test_walsh_hadamard_rejects_bad_length():
+    for size in (0, 3, 6):
+        with pytest.raises(ValueError, match="power of two"):
+            hadamard.walsh_hadamard([1] * size)
 
 
 def test_reduce_small_cases():
@@ -36,10 +55,10 @@ def test_reduce_small_cases():
     s4 = hadamard.reduce_to_symmetric(4)
     assert s4[2, 2] == -12
     with pytest.raises(ValueError):
-        hadamard.reduce_to_symmetric(15)
+        hadamard.reduce_to_symmetric(hadamard.REDUCE_BOUND + 1)
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(hadamard.REDUCE_BOUND + 1))
 def test_reduce_equals_symmetric(n):
     assert hadamard.reduce_to_symmetric(n) == core.k_symmetric(n)
 
