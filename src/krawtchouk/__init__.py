@@ -19,6 +19,7 @@ from .core import (
     k_binsum,
     k_entry,
     k_genfunc,
+    k_reference,
     k_symmetric,
     kac_matrix,
     lambda_matrix,

@@ -65,6 +65,7 @@ def cmd_gen(args) -> int:
         elif args.kind == "binomial":
             mat = spectral.binomial_matrix(n)
         elif args.kind == "sylvester":
+            sympow.require_kron_order(n)  # before anything is allocated
             mat = sympow.kron_power(sympow.MAT_H, n)
         elif args.kind == "general":
             if args.alpha is None and args.beta is None:
@@ -91,8 +92,7 @@ def cmd_verify(args) -> int:
         print("no suites requested", file=sys.stderr)
         return USAGE_ERROR
     try:
-        reports = verify.run_suites(names, n_max=args.n_max,
-                                    seed=args.seed, workers=args.workers)
+        reports = verify.run_suites(names, n_max=args.n_max, seed=args.seed)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return USAGE_ERROR
@@ -107,7 +107,7 @@ def cmd_verify(args) -> int:
 def cmd_pathsum(args) -> int:
     try:
         value = pathsum.path_sum(args.n, args.p, args.q,
-                                 args.alpha, args.beta, workers=args.workers)
+                                 args.alpha, args.beta)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list from: all, {', '.join(sorted(verify.SUITES))}")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pathsum", help="one Feynman-style path sum")
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--beta", type=int, default=-1)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_pathsum)
 
     p = sub.add_parser("transform", help="apply K to a vector or covector")

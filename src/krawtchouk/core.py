@@ -5,11 +5,17 @@ q-th column lists the coefficients of (1+t)^(n-q) (1-t)^q.  This module
 builds K two independent ways (generating-function expansion and the signed
 binomial sum), together with the Kac matrix M, the eigenvalue matrix
 Lambda = diag(n, n-2, ..., -n), the binomial-weight matrix Gamma, and the
-checks for the identities that tie them together:
+checks for the identities that tie them together, all over the integers:
 
-    M K = K Lambda          (master equation)
-    K K = 2^n I             (involution)
-    K^T = Gamma^-1 K Gamma  (orthogonality)
+    M K = K Lambda                  (master equation)
+    K K = 2^n I                     (involution)
+    Gamma K^T = K Gamma             (orthogonality, K^T = Gamma^-1 K Gamma)
+    K Gamma K^T = 2^n Gamma
+    K^T D K = 2^n D,  D = lcm(C(n,i)) Gamma^-1  (K^T Gamma^-1 K = 2^n Gamma^-1)
+
+The checks, here and in the other modules, compare against one memoised
+reference, :func:`k_reference`; the constructions never read it, so each
+stays an independent route to K.
 
 Two further constructions live in :mod:`krawtchouk.sympow` (symmetric tensor
 power of the 2x2 Hadamard matrix) and :mod:`krawtchouk.pathsum` (sum over
@@ -21,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
 
 from .matrix import CheckReport, Matrix
 from .rings import QQ, ZZ
@@ -84,6 +91,18 @@ def k_genfunc(n: int) -> KrawtchoukMatrix:
     return KrawtchoukMatrix(n, Matrix(ZZ, rows), "GenFunc")
 
 
+@lru_cache(maxsize=64)
+def k_reference(n: int) -> Matrix:
+    """K^(n) by the generating function, built once per order.
+
+    The matrix every identity check compares against (``Matrix`` is
+    immutable, so sharing it is safe).  Constructions under test never read
+    it: they build their own matrix, whose agreement with this one is what
+    the construction-equivalence checks establish.
+    """
+    return k_genfunc(n).mat
+
+
 def k_entry(n: int, p: int, q: int) -> int:
     """Single entry K^(n)_{pq} via the signed binomial sum."""
     if not (0 <= p <= n and 0 <= q <= n):
@@ -142,7 +161,7 @@ def master_check(n: int) -> CheckReport:
     """M K = K Lambda, exactly."""
     if n < 1:
         raise ValueError("master equation needs order >= 1")
-    k = k_genfunc(n).mat
+    k = k_reference(n)
     lhs = kac_matrix(n) @ k
     rhs = k @ lambda_matrix(n)
     return CheckReport.of_matrices(lhs, rhs, n=n, note="M K = K Lambda")
@@ -150,27 +169,37 @@ def master_check(n: int) -> CheckReport:
 
 def involution_check(n: int) -> CheckReport:
     """K^2 = 2^n I, exactly."""
-    k = k_genfunc(n).mat
+    k = k_reference(n)
     target = Matrix.identity(n + 1, ZZ).scale(2 ** n)
     return CheckReport.of_matrices(k @ k, target, n=n, note="K^2 = 2^n I")
 
 
 def ortho_check(n: int) -> CheckReport:
-    """The three binomial-weight orthogonality identities over the rationals.
+    """The three binomial-weight orthogonality identities over the integers.
 
-    K^T = G^-1 K G,  K^T G^-1 K = 2^n G^-1,  K G K^T = 2^n G,
-    with G the binomial diagonal matrix.
+    With G the binomial diagonal matrix and D = lcm(C(n,i)) G^-1, the
+    integer diagonal that clears G^-1 of denominators:
+
+        G K^T = K G          (K^T = G^-1 K G)
+        K G K^T = 2^n G
+        K^T D K = 2^n D      (K^T G^-1 K = 2^n G^-1)
+
+    Products with G and D are row and column scalings.
     """
     if n < 1:
         raise ValueError("orthogonality check needs order >= 1")
-    k = k_genfunc(n).mat.map(Fraction, QQ)
-    g = gamma_matrix(n).map(Fraction, QQ)
-    ginv = gamma_inverse(n)
+    k = k_reference(n)
+    kt = k.T
+    g = gamma_matrix(n)
+    weights = [g[i, i] for i in range(n + 1)]
+    top = lcm(*weights)
+    d = Matrix.diag([top // w for w in weights], ZZ)
+    kg = k @ g
     scale = 2 ** n
     checks = [
-        (k.T, ginv @ k @ g, "K^T = G^-1 K G"),
-        (k.T @ ginv @ k, ginv.scale(scale), "K^T G^-1 K = 2^n G^-1"),
-        (k @ g @ k.T, g.scale(scale), "K G K^T = 2^n G"),
+        (g @ kt, kg, "G K^T = K G"),
+        (kg @ kt, g.scale(scale), "K G K^T = 2^n G"),
+        (kt @ d @ k, d.scale(scale), "K^T D K = 2^n D, D = lcm C(n,i) G^-1"),
     ]
     for lhs, rhs, note in checks:
         report = CheckReport.of_matrices(lhs, rhs, n=n, note=note)
@@ -200,7 +229,7 @@ def construction_equivalence_check(n: int) -> CheckReport:
 
 def symmetry_identities_check(n: int) -> CheckReport:
     """K_{pq} = (-1)^q K_{n-p,q} and K_{pq} = (-1)^p K_{p,n-q}."""
-    k = k_genfunc(n).mat
+    k = k_reference(n)
     for p in range(n + 1):
         for q in range(n + 1):
             if k[p, q] != (-1) ** q * k[n - p, q]:

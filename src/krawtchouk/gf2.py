@@ -17,9 +17,8 @@ dim(W-perp) = 1, so a dimension factor cannot be right in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .core import k_genfunc
+from .core import k_reference
 from .matrix import CheckReport
 from .spectral import binomial_vector
 
@@ -160,7 +159,7 @@ def macwilliams_check(space: BinarySubspace) -> CheckReport:
         raise ValueError(f"MacWilliams check bound is n <= {CHECK_BOUND}")
     perp = complement(space)
     lhs = [2 ** space.dim * c for c in weight_character(perp).counts]
-    rhs = k_genfunc(n).mat.mul_vector(weight_character(space).as_list())
+    rhs = k_reference(n).mul_vector(weight_character(space).as_list())
     if lhs != rhs:
         idx = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
         return CheckReport(False, n=n, location=(idx,),
@@ -185,7 +184,7 @@ def coordinate_subspace_note(space: BinarySubspace) -> CheckReport:
         return CheckReport(False, n=n, lhs=str(char),
                            rhs=str(binomial_vector(n, k)),
                            note="character is not the binomial vector")
-    transformed = k_genfunc(n).mat.mul_vector(char)
+    transformed = k_reference(n).mul_vector(char)
     expected = [2 ** k * x for x in binomial_vector(n, n - k)]
     if transformed != expected:
         return CheckReport(False, n=n, lhs=str(transformed),
@@ -198,7 +197,3 @@ def random_subspace(rng, n: int) -> BinarySubspace:
     count = rng.randint(0, n)
     vectors = [rng.getrandbits(n) for _ in range(count)]
     return subspace_from(vectors, n)
-
-
-def full_space_character(n: int):
-    return [comb(n, i) for i in range(n + 1)]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import add, sub
 
-from .core import KrawtchoukMatrix, genfunc_column, k_entry, k_genfunc
+from .core import KrawtchoukMatrix, genfunc_column, k_entry, k_reference
 from .matrix import CheckReport, Matrix
 from .rings import ZZ
 
@@ -155,7 +155,7 @@ def pyramid_cross_check(n_max: int) -> CheckReport:
     """
     if n_max < 2:
         raise ValueError("cross identities need n_max >= 2")
-    ks = {m: k_genfunc(m).mat for m in range(n_max + 2)}
+    ks = {m: k_reference(m) for m in range(n_max + 2)}
 
     def entry(m, i, j):
         if 0 <= i <= m and 0 <= j <= m:

@@ -25,7 +25,6 @@ over all C(n,p) index subsets.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -92,40 +91,9 @@ class PathEnsemble:
         return total
 
 
-def path_sum(n: int, p: int, q: int, alpha=1, beta=-1, workers: int = 1):
-    """Sum of path weights over all words reaching p; equals K^(n)_{pq}(a,b).
-
-    With several workers the word set is split into disjoint classes by
-    their first letters and the per-class sums are combined at the end;
-    commutativity of ring addition makes the result identical for every
-    worker count.
-    """
-    ensemble = PathEnsemble(n, p, q, alpha, beta)
-    if workers <= 1 or n == 0:
-        return ensemble.total_weight()
-
-    prefix_len = max(1, min(n, (workers - 1).bit_length()))
-    zero = ring_of(alpha).zero
-
-    def class_sum(prefix: str):
-        r_used = prefix.count("R")
-        r_left = p - r_used
-        if not 0 <= r_left <= n - prefix_len:
-            return zero
-        partial = zero
-        for tail in words_to(n - prefix_len, r_left):
-            partial = partial + path_weight(prefix + tail, q, alpha, beta)
-        return partial
-
-    prefixes = ["".join("R" if (i >> b) & 1 else "L"
-                        for b in reversed(range(prefix_len)))
-                for i in range(2 ** prefix_len)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(class_sum, prefixes))
-    total = zero
-    for part in partials:
-        total = total + part
-    return total
+def path_sum(n: int, p: int, q: int, alpha=1, beta=-1):
+    """Sum of path weights over all words reaching p; equals K^(n)_{pq}(a,b)."""
+    return PathEnsemble(n, p, q, alpha, beta).total_weight()
 
 
 def oracle_matrix(n: int, alpha=1, beta=-1, bound: int | None = None) -> Matrix:

@@ -169,26 +169,6 @@ class Quaternion:
         return out
 
 
-def q_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
-
-
-def q_conj(q: Quaternion) -> Quaternion:
-    return q.conj()
-
-
-def q_norm2(q: Quaternion) -> Fraction:
-    return q.norm2()
-
-
-def q_inverse(q: Quaternion) -> Quaternion:
-    return q.inverse()
-
-
-def q_pure(q: Quaternion) -> Quaternion:
-    return q.pure()
-
-
 def split(a=0, b=0, c=0, d=0) -> Quaternion:
     return Quaternion(SPLIT, a, b, c, d)
 

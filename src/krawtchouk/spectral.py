@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import k_genfunc
+from .core import KrawtchoukMatrix, k_reference
 from .matrix import CheckReport, Matrix
 from .rings import ROOT2, RootTwo, ZZ, sqrt2_power
 
@@ -56,7 +56,7 @@ def b_inverse(n: int) -> Matrix:
 
 def binomial_transform_check(n: int) -> CheckReport:
     """K b^(k) = 2^k b^(n-k) for every k, plus the collective K B = B D."""
-    k = k_genfunc(n).mat
+    k = k_reference(n)
     for j in range(n + 1):
         got = k.mul_vector(binomial_vector(n, j))
         want = [2 ** j * x for x in binomial_vector(n, n - j)]
@@ -73,10 +73,11 @@ def k_from_BDBinv(n: int):
     """Build K as B D B^{-1} and cross-check against the generating function."""
     b = binomial_matrix(n)
     product = b @ skew_power_matrix(n) @ b_inverse(n)
-    reference = k_genfunc(n)
-    if product != reference.mat:
+    reference = k_reference(n)
+    if product != reference:
         raise AssertionError(f"B D B^-1 disagrees with K at order {n}")
-    return reference  # method tag GenFunc: the product is its cross-check
+    # method tag GenFunc: the product is its cross-check
+    return KrawtchoukMatrix(n, reference, "GenFunc")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def eigen_factors(n: int) -> EigenFactor:
     e = Matrix.diag([lam if 2 * j <= n else -lam for j in range(n + 1)], ROOT2)
 
     bx = binomial_matrix(n).map(RootTwo, ROOT2) @ xm
-    k = k_genfunc(n).mat.map(RootTwo, ROOT2)
+    k = k_reference(n).map(RootTwo, ROOT2)
     if k @ bx != bx @ e:
         raise AssertionError(f"K (B X) != (B X) E at order {n}")
     return EigenFactor(n, xm, e)
@@ -140,7 +141,7 @@ def eigenvector(n: int, k: int, sign: str) -> list:
             chi = -chi
         vec = [clo * a + chi * b for a, b in zip(lo, hi)]
 
-    kmat = k_genfunc(n).mat.map(RootTwo, ROOT2)
+    kmat = k_reference(n).map(RootTwo, ROOT2)
     lam = sqrt2_power(n) if sign == "+" else -sqrt2_power(n)
     if kmat.mul_vector(vec) != [lam * x for x in vec]:
         raise AssertionError("eigenvector failed its own eigen-equation")

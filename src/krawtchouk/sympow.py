@@ -21,13 +21,15 @@ powers are provided for the unsymmetrized comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .core import genfunc_column, k_genfunc, kac_matrix, lambda_matrix
+from .core import k_reference, kac_matrix, lambda_matrix
 from .matrix import CheckReport, Matrix
 from .rings import Poly2, POLY2, ring_of
 
-KRON_BOUND = 14  # 2^n x 2^n output
+# A 2^n x 2^n power holds 4^n entries.  kron_power traced ~19 bytes per
+# entry at n = 6..10 (19.6 MB at n = 10), 4x more per order: ~5 GB at n = 14.
+KRON_ENTRY_BOUND = 4 ** 10
+KRON_BOUND = 10  # largest n with 4^n <= KRON_ENTRY_BOUND
 
 MAT_F = Matrix.from_rows([[0, 1], [1, 0]])
 MAT_G = Matrix.from_rows([[1, 0], [0, -1]])
@@ -141,11 +143,17 @@ def sl2_operator(a: Matrix) -> Sl2Operator:
     return Sl2Operator(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
 
 
+def require_kron_order(n: int) -> None:
+    """Refuse, before allocating, a power above KRON_ENTRY_BOUND entries."""
+    if not 0 <= n <= KRON_BOUND:
+        raise ValueError(f"Kronecker power bound is 0..{KRON_BOUND} "
+                         f"(4^n <= {KRON_ENTRY_BOUND} entries)")
+
+
 def kron_power(a: Matrix, n: int) -> Matrix:
     """Plain n-fold Kronecker power, 2^n x 2^n."""
     _require_2x2(a)
-    if not 0 <= n <= KRON_BOUND:
-        raise ValueError(f"Kronecker power bound is 0..{KRON_BOUND}")
+    require_kron_order(n)
     out = Matrix.identity(1, a.ring)
     for _ in range(n):
         out = out.kron(a)
@@ -155,8 +163,7 @@ def kron_power(a: Matrix, n: int) -> Matrix:
 def box_power(a: Matrix, n: int) -> Matrix:
     """Kronecker-sum power: sum over slots of I x ... x A x ... x I."""
     _require_2x2(a)
-    if not 0 <= n <= KRON_BOUND:
-        raise ValueError(f"Kronecker power bound is 0..{KRON_BOUND}")
+    require_kron_order(n)
     if n == 0:
         return Matrix.zeros(1, 1, a.ring)
     eye = Matrix.identity(2, a.ring)
@@ -227,7 +234,7 @@ def symmetry_check(n: int) -> CheckReport:
     """F^group K = K G^group and G^group K = K F^group (the two reversals)."""
     if n < 1:
         raise ValueError("symmetry check needs order >= 1")
-    k = k_genfunc(n).mat
+    k = k_reference(n)
     f_pow = sym_group_power(MAT_F, n)
     g_pow = sym_group_power(MAT_G, n)
     report = CheckReport.of_matrices(f_pow @ k, k @ g_pow, n=n,
@@ -256,7 +263,7 @@ def master_from_tensor_check(n: int) -> CheckReport:
         return CheckReport(False, n=n, note="F^alg != Kac matrix")
     if g_alg != lambda_matrix(n):
         return CheckReport(False, n=n, note="G^alg != Lambda")
-    if h_grp != k_genfunc(n).mat:
+    if h_grp != k_reference(n):
         return CheckReport(False, n=n, note="H^grp != K")
     return CheckReport.passed(n=n, note="master equation from tensor powers")
 
@@ -282,7 +289,7 @@ def skew_factorization_check(n: int) -> CheckReport:
     if d_pow != skew_power_matrix(n):
         return CheckReport.of_matrices(d_pow, skew_power_matrix(n), n=n,
                                        note="D1^on = D")
-    k = k_genfunc(n).mat
+    k = k_reference(n)
     return CheckReport.of_matrices(k @ b_pow, b_pow @ d_pow, n=n,
                                    note="K B = B D from tensor powers")
 
@@ -302,14 +309,3 @@ def kron_remark_check(n: int) -> CheckReport:
         return report
     return CheckReport.of_matrices(f_box @ h_kron, h_kron @ g_box, n=n,
                                    note="F^box H^kron = H^kron G^box")
-
-
-def binomial_row_check(n: int) -> CheckReport:
-    """Row p of H^group(n) against C(n,p)-weighted signs, a smoke identity."""
-    h_pow = sym_group_power(MAT_H, n)
-    col0 = [h_pow[p, 0] for p in range(n + 1)]
-    if col0 != [comb(n, p) for p in range(n + 1)]:
-        return CheckReport(False, n=n, note="first column is not binomial")
-    if [h_pow[p, n] for p in range(n + 1)] != genfunc_column(n, n):
-        return CheckReport(False, n=n, note="last column mismatch")
-    return CheckReport.passed(n=n)

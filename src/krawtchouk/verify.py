@@ -29,10 +29,10 @@ RANDOM_SUBSPACES = 500
 RANDOM_QUATERNIONS = 1000
 
 
-def _suite_construction(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_construction(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("construction-equivalence", n_max)
     for n in range(n_max + 1):
-        ref = core.k_genfunc(n).mat
+        ref = core.k_reference(n)
         report.record(core.construction_equivalence_check(n))
         if sympow.sym_group_power(sympow.MAT_H, n) != ref:
             report.fail(n, "sym-tensor-power", "H^on", "K")
@@ -53,14 +53,14 @@ def _suite_construction(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_involution(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_involution(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("involution", n_max)
     for n in range(n_max + 1):
         report.record(core.involution_check(n))
     return report
 
 
-def _suite_master(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_master(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("master", n_max)
     for n in range(1, n_max + 1):
         report.record(core.master_check(n))
@@ -68,11 +68,11 @@ def _suite_master(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_ortho(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_ortho(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("ortho", n_max)
     for n in range(1, n_max + 1):
         report.record(core.ortho_check(n))
-        k = core.k_genfunc(n).mat
+        k = core.k_reference(n)
         for i in range(n + 1):
             for j in range(n + 1):
                 dual = sum(k[i, q] * k[q, j] for q in range(n + 1))
@@ -82,14 +82,14 @@ def _suite_ortho(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_spectral(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_spectral(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("spectral", n_max)
     for n in range(min(n_max, SPECTRAL_CAP) + 1):
         report.record(spectral.spectral_suite_check(n))
     return report
 
 
-def _suite_cross(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_cross(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("cross", n_max)
     for n in range(1, min(n_max, SYMBOLIC_CAP) + 1):
         report.record(generalized.general_cross_check(n))
@@ -100,7 +100,7 @@ def _suite_cross(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_trace(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_trace(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("trace", n_max)
     for n in range(1, min(n_max, SYMBOLIC_CAP) + 1):
         report.record(generalized.trace_identity_check(n))
@@ -109,7 +109,7 @@ def _suite_trace(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_quaternion(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_quaternion(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("quaternion", n_max)
     ok, fh, hg = quaternion.jhhk_check()
     if not ok:
@@ -155,7 +155,7 @@ def _suite_quaternion(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_sympow(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_sympow(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("sympow", n_max)
     for n in range(1, n_max + 1):
         report.record(sympow.lrn_relations_check(n))
@@ -188,7 +188,7 @@ def _suite_sympow(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_reduction(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_reduction(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("hadamard-reduction", n_max)
     for n in range(min(n_max, REDUCTION_CAP) + 1):
         reduced = hadamard.reduce_to_symmetric(n)
@@ -202,7 +202,7 @@ def _suite_reduction(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_pyramid(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_pyramid(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("pyramid", n_max)
     report.record(hadamard.pyramid_cross_check(max(2, min(n_max, REDUCTION_CAP))))
     for depth in range(3):
@@ -228,7 +228,7 @@ def _suite_pyramid(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_macwilliams(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_macwilliams(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("macwilliams", n_max)
     worked = gf2.subspace_from(["110"], 3)
     report.record(gf2.macwilliams_check(worked))
@@ -250,7 +250,7 @@ def _suite_macwilliams(n_max: int, seed: int, workers: int) -> SuiteReport:
             report.fail(n, "double complement", str(gf2.complement(perp)),
                         str(space))
         # K (K char) = 2^n char, consistency with the involution
-        k = core.k_genfunc(n).mat
+        k = core.k_reference(n)
         char = gf2.weight_character(space).as_list()
         twice = k.mul_vector(k.mul_vector(char))
         if twice != [2 ** n * c for c in char]:
@@ -263,7 +263,7 @@ def _suite_macwilliams(n_max: int, seed: int, workers: int) -> SuiteReport:
     return report
 
 
-def _suite_phase(n_max: int, seed: int, workers: int) -> SuiteReport:
+def _suite_phase(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("phase", n_max)
     for n in range(min(n_max, SPECTRAL_CAP) + 1):
         report.record(generalized.phase_coherence_check(n))
@@ -291,7 +291,7 @@ SUITES = {
 }
 
 
-def run_suites(names, n_max: int = 6, seed: int = 0, workers: int = 1):
+def run_suites(names, n_max: int = 6, seed: int = 0):
     """Run the named suites (or all) and return reports sorted by name."""
     if "all" in names:
         picked = sorted(SUITES)
@@ -300,4 +300,4 @@ def run_suites(names, n_max: int = 6, seed: int = 0, workers: int = 1):
         if unknown:
             raise KeyError(f"unknown suites: {', '.join(unknown)}")
         picked = sorted(set(names))
-    return [SUITES[name](n_max, seed, workers) for name in picked]
+    return [SUITES[name](n_max, seed) for name in picked]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from krawtchouk import cli, generalized
+from krawtchouk import cli, generalized, sympow
 from krawtchouk.matrix import Matrix
 
 REPORT_SCHEMA = {
@@ -93,6 +93,20 @@ def test_gen_bounds(capsys):
     assert "warning" in err
 
 
+def test_gen_sylvester_refuses_before_building(capsys, monkeypatch):
+    # 4^14 entries would take about 5 GB; the refusal must come first
+    def never(*args):
+        raise AssertionError("kron_power called above the entry bound")
+
+    monkeypatch.setattr(sympow, "kron_power", never)
+    for n in (sympow.KRON_BOUND + 1, 14):
+        code, out, err = run_cli(capsys, "gen", "sylvester", "--n", str(n))
+        assert code == 2 and out == ""
+        assert "bound" in err and str(sympow.KRON_ENTRY_BOUND) in err
+    assert 4 ** sympow.KRON_BOUND <= sympow.KRON_ENTRY_BOUND \
+        < 4 ** (sympow.KRON_BOUND + 1)
+
+
 def test_verify_all_small(capsys):
     code, out, err = run_cli(capsys, "verify", "--suites", "all",
                              "--n-max", "4")
@@ -136,7 +150,7 @@ def test_pathsum_command(capsys):
     assert code == 0
     assert out.strip() == "0"
     code, out, _ = run_cli(capsys, "pathsum", "--n", "3", "--p", "1",
-                           "--q", "2", "--workers", "4")
+                           "--q", "2")
     assert out.strip() == "-1"
 
 

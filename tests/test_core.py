@@ -1,11 +1,12 @@
 """Constructions and identities of the classical Krawtchouk family."""
 
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from krawtchouk import core
+from krawtchouk import cli, core, hadamard, pathsum, spectral, sympow
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import ZZ
 
@@ -167,3 +168,62 @@ def test_master_check_reports_failure_location():
     bad = CheckReport.of_matrices(a, b)
     assert not bad.ok and bad.location == (1, 0)
     assert bad.lhs == "3" and bad.rhs == "0"
+
+
+# -- the memoised reference ------------------------------------------------
+
+@pytest.fixture
+def corrupted_reference(monkeypatch):
+    """k_reference with K[2, 1] off by one."""
+    real = core.k_reference
+    real.cache_clear()
+
+    def corrupted(n):
+        rows = [list(row) for row in real(n).data]
+        rows[2][1] += 1
+        return Matrix(ZZ, rows)
+
+    monkeypatch.setattr(core, "k_reference", corrupted)
+    yield
+    real.cache_clear()
+
+
+def test_checks_fail_on_a_corrupted_reference(corrupted_reference):
+    # K^(4) has row 1 = [4, 2, 0, -2, -4] and row 2 = [6, 0, -2, 0, 6]
+    report = core.involution_check(4)
+    assert not report.ok
+    assert (report.location, report.lhs, report.rhs) == ((0, 1), "1", "0")
+    report = core.master_check(4)     # (M K)[1,1] gains M[1,2] = 2
+    assert not report.ok
+    assert (report.location, report.lhs, report.rhs) == ((1, 1), "6", "4")
+    report = core.ortho_check(4)      # (G K^T)[1,2] = C(4,1) * 1
+    assert not report.ok and report.note == "G K^T = K G"
+    assert (report.location, report.lhs, report.rhs) == ((1, 2), "4", "0")
+
+
+def test_constructions_never_read_the_reference(monkeypatch, capsys):
+    def refuse(n):
+        raise RuntimeError("construction read the reference")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("krawtchouk") and hasattr(module, "k_reference"):
+            monkeypatch.setattr(module, "k_reference", refuse)
+    with pytest.raises(RuntimeError):
+        spectral.binomial_transform_check(5)  # the patch reaches the checks
+    n = 6
+    table = core.k_genfunc(n).mat
+    assert core.k_binsum(n).mat == table
+    assert sympow.sym_group_power(sympow.MAT_H, n) == table
+    assert hadamard.k_pyramid(n).mat == table
+    assert pathsum.oracle_matrix(n) == table
+    assert cli.main(["gen", "krawtchouk", "--n", str(n),
+                     "--format", "json"]) == 0
+    assert Matrix.from_json(capsys.readouterr().out) == table
+
+
+def test_genfunc_builds_a_new_matrix_each_call():
+    first, second = core.k_genfunc(5), core.k_genfunc(5)
+    assert first.mat is not second.mat and first.mat == second.mat
+    assert core.k_reference(5) is core.k_reference(5)
+    assert first.mat is not core.k_reference(5)
+    assert core.k_reference(5) == first.mat

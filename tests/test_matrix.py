@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from krawtchouk.matrix import Matrix
-from krawtchouk.rings import GAUSS, Gaussian, QQ, ROOT2, RootTwo, ZZ
+from krawtchouk.rings import (CC, GAUSS, Gaussian, POLY2, Poly2, QQ, ROOT2,
+                              RootTwo, ZZ)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -123,3 +124,72 @@ def test_trace():
     assert Matrix.diag([3, 1, -1, -3]).trace() == 0
     with pytest.raises(ValueError):
         Matrix(ZZ, [[1, 2, 3], [4, 5, 6]]).trace()
+
+
+# -- products against a naive triple loop -----------------------------------
+
+RANDOM_SCALARS = {
+    ZZ: lambda rng: rng.randint(-5, 5),
+    QQ: lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    GAUSS: lambda rng: Gaussian(rng.randint(-3, 3), rng.randint(-3, 3)),
+    ROOT2: lambda rng: RootTwo(Fraction(rng.randint(-3, 3), 2),
+                               rng.randint(-3, 3)),
+    POLY2: lambda rng: Poly2({(rng.randint(0, 2), rng.randint(0, 2)):
+                              rng.randint(-3, 3) for _ in range(2)}),
+}
+
+# which cells of a rows x cols factor may be nonzero
+PATTERNS = {
+    "dense": lambda i, j, r, c: True,
+    "diagonal": lambda i, j, r, c: i == j,
+    "tridiagonal": lambda i, j, r, c: abs(i - j) <= 1,
+    "skew-diagonal": lambda i, j, r, c: i + j == c - 1,
+    "zero-row": lambda i, j, r, c: i != r // 2,
+    "zero-column": lambda i, j, r, c: j != c // 2,
+}
+
+SHAPES = [(1, 1, 1), (4, 4, 4), (2, 5, 3), (5, 3, 1), (1, 4, 2), (3, 1, 4)]
+
+
+def patterned(rng, ring, pattern, rows, cols):
+    scalar = RANDOM_SCALARS[ring]
+    return Matrix(ring, [[scalar(rng) if pattern(i, j, rows, cols)
+                          else ring.zero for j in range(cols)]
+                         for i in range(rows)])
+
+
+def naive_product(a, b):
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            total = a.ring.zero
+            for k in range(a.cols):
+                total = total + a[i, k] * b[k, j]
+            row.append(total)
+        out.append(row)
+    return Matrix(a.ring, out)
+
+
+@pytest.mark.parametrize("ring", list(RANDOM_SCALARS), ids=lambda r: r.name)
+def test_mul_matches_naive_triple_loop(ring):
+    rng = random.Random(2024)
+    zero_type = type(ring.zero)
+    for rows, inner, cols in SHAPES:
+        for a_pattern in PATTERNS.values():
+            for b_pattern in PATTERNS.values():
+                a = patterned(rng, ring, a_pattern, rows, inner)
+                b = patterned(rng, ring, b_pattern, inner, cols)
+                product = a @ b
+                assert product.shape == (rows, cols)
+                assert product == naive_product(a, b)
+                # empty cells too: a Fraction zero in QQ, a RootTwo in ROOT2
+                assert all(type(x) is zero_type
+                           for row in product.data for x in row)
+
+
+def test_mul_skips_only_exact_zeros_in_cc():
+    # CC's eq calls 1e-12 zero; the product must still count it
+    tiny = Matrix(CC, [[1e-12 + 0j, 0j]])
+    big = Matrix(CC, [[1e12 + 0j], [5 + 0j]])
+    assert (tiny @ big)[0, 0] == 1 + 0j
