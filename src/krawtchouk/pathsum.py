@@ -34,6 +34,23 @@ from .rings import ring_of
 
 ENUM_BOUND_NUMERIC = 16   # 2^n words; n above this is refused
 ENUM_BOUND_SYMBOLIC = 12
+# C(n,p) words or subsets one path sum or twiston energy may enumerate;
+# C(20,10) = 184,756 fits
+WORD_BOUND = 2 ** 20
+
+
+def require_enumerable(n: int, p: int) -> None:
+    """Refuse, before enumerating, more than WORD_BOUND p-subsets of n.
+
+    C(n,k) grows with k up to n/2, so the running product stops at the
+    first partial count above the bound, after O(log WORD_BOUND) steps.
+    """
+    count = 1
+    for i in range(min(p, n - p)):
+        count = count * (n - i) // (i + 1)
+        if count > WORD_BOUND:
+            raise ValueError(f"C({n},{p}) exceeds the enumeration bound "
+                             f"{WORD_BOUND}")
 
 
 def path_weight(word: str, q: int, alpha, beta):
@@ -54,13 +71,19 @@ def words_to(n: int, p: int):
 
     Words compare with L < R, so the smallest word pushes its R's to the
     end; that is exactly the reverse of the position-tuple lex order that
-    ``combinations`` yields.
+    ``combinations`` yields.  The bound is checked when called, not when
+    the first word is drawn.
     """
-    for positions in reversed(list(combinations(range(n), p))):
-        letters = ["L"] * n
-        for i in positions:
-            letters[i] = "R"
-        yield "".join(letters)
+    require_enumerable(n, p)
+    return (_word(n, positions)
+            for positions in reversed(list(combinations(range(n), p))))
+
+
+def _word(n: int, positions) -> str:
+    letters = ["L"] * n
+    for i in positions:
+        letters[i] = "R"
+    return "".join(letters)
 
 
 @dataclass(frozen=True)
@@ -144,6 +167,7 @@ def twiston_energy(n: int, q: int, p: int) -> int:
     """
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("p and q must lie in 0..n")
+    require_enumerable(n, p)
     energies = [-1] * q + [1] * (n - q)
     total = 0
     for subset in combinations(range(n), p):

@@ -23,63 +23,60 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix import Matrix
-from .rings import GAUSS, Gaussian, QQ
+from .rings import (GAUSS, QQ, Gaussian, _component, _lowest, _new,
+                    _over_common_den)
 
 HAMILTON = "Hamilton"
 SPLIT = "Split"
 
-# products of the pure units: table[(u, v)] = (coefficient, resulting unit)
-# units are indexed 1..3 = (i, j, k) or (i, F, G); 0 is the scalar slot
-_TABLES = {
-    HAMILTON: {
-        (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-        (1, 2): (1, 3), (2, 1): (-1, 3),
-        (2, 3): (1, 1), (3, 2): (-1, 1),
-        (3, 1): (1, 2), (1, 3): (-1, 2),
-    },
-    SPLIT: {
-        (1, 1): (-1, 0), (2, 2): (1, 0), (3, 3): (1, 0),
-        (1, 2): (1, 3), (2, 1): (-1, 3),   # iF = G
-        (2, 3): (-1, 1), (3, 2): (1, 1),   # FG = -i
-        (3, 1): (1, 2), (1, 3): (-1, 2),   # Gi = F
-    },
-}
 
-
-@dataclass(frozen=True)
 class Quaternion:
-    """a + b*i + c*(j or F) + d*(k or G), coefficients exact rationals."""
+    """a + b*i + c*(j or F) + d*(k or G), coefficients exact rationals.
 
-    kind: str
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    ``_n = (a, b, c, d, den)`` holds the four coefficients as integer
+    numerators over one positive denominator in lowest terms; ``a`` .. ``d``
+    read as Fractions.
+    """
+
+    __slots__ = ("_kind", "_n")
 
     def __init__(self, kind, a=0, b=0, c=0, d=0):
         if kind not in (HAMILTON, SPLIT):
             raise ValueError(f"unknown quaternion kind {kind!r}")
-        for name, value in zip("abcd", (a, b, c, d)):
-            object.__setattr__(self, name, Fraction(value))
-        object.__setattr__(self, "kind", kind)
+        self._kind = kind
+        self._n = _over_common_den((a, b, c, d), Fraction)
+
+    kind = property(lambda self: self._kind)
+    a = _component(0)
+    b = _component(1)
+    c = _component(2)
+    d = _component(3)
 
     # -- ring structure ------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Quaternion):
-            if other.kind != self.kind:
+            if other._kind != self._kind:
                 raise ValueError("mixed Hamilton/split arithmetic")
             return other
         if isinstance(other, (int, Fraction)):
-            return Quaternion(self.kind, other)
+            return _quaternion(self._kind, (other.numerator, 0, 0, 0,
+                                            other.denominator))
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Quaternion(self.kind, self.a + other.a, self.b + other.b,
-                          self.c + other.c, self.d + other.d)
+        a1, b1, c1, d1, den1 = self._n
+        a2, b2, c2, d2, den2 = other._n
+        if den1 == den2:
+            parts = (a1 + a2, b1 + b2, c1 + c2, d1 + d2, den1)
+        else:
+            parts = (a1 * den2 + a2 * den1, b1 * den2 + b2 * den1,
+                     c1 * den2 + c2 * den1, d1 * den2 + d2 * den1,
+                     den1 * den2)
+        return _quaternion(self._kind, parts)
 
     __radd__ = __add__
 
@@ -87,38 +84,31 @@ class Quaternion:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Quaternion(self.kind, self.a - other.a, self.b - other.b,
-                          self.c - other.c, self.d - other.d)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
-        return Quaternion(self.kind, -self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, den = self._n
+        return _quaternion(self._kind, (-a, -b, -c, -d, den))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        table = _TABLES[self.kind]
-        coeffs = [Fraction(0)] * 4
-        mine = (self.a, self.b, self.c, self.d)
-        theirs = (other.a, other.b, other.c, other.d)
-        for u in range(4):
-            if not mine[u]:
-                continue
-            for v in range(4):
-                if not theirs[v]:
-                    continue
-                prod = mine[u] * theirs[v]
-                if u == 0:
-                    coeffs[v] += prod
-                elif v == 0:
-                    coeffs[u] += prod
-                else:
-                    sign, unit = table[(u, v)]
-                    coeffs[unit] += sign * prod
-        return Quaternion(self.kind, *coeffs)
+        a1, b1, c1, d1, den1 = self._n
+        a2, b2, c2, d2, den2 = other._n
+        s = self._square()
+        return _quaternion(self._kind, (
+            a1 * a2 - b1 * b2 + s * (c1 * c2 + d1 * d2),
+            a1 * b2 + b1 * a2 - s * (c1 * d2 - d1 * c2),
+            a1 * c2 + c1 * a2 + d1 * b2 - b1 * d2,
+            a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
+            den1 * den2))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -126,33 +116,53 @@ class Quaternion:
             return NotImplemented
         return other.__mul__(self)
 
+    def __eq__(self, other):
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        return self._kind == other._kind and self._n == other._n
+
+    def __hash__(self):
+        return hash((self._kind, self._n))
+
     # -- involutions and norms -------------------------------------------
 
+    def _square(self) -> int:
+        """j^2 = k^2 = -1 (Hamilton) or F^2 = G^2 = +1 (split)."""
+        return 1 if self._kind == SPLIT else -1
+
+    def _norm_numerator(self) -> int:
+        a, b, c, d, _ = self._n
+        return a * a + b * b - self._square() * (c * c + d * d)
+
     def conj(self) -> "Quaternion":
-        return Quaternion(self.kind, self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, den = self._n
+        return _quaternion(self._kind, (a, -b, -c, -d, den))
 
     def norm2(self) -> Fraction:
         """q * conj(q); a^2+b^2+c^2+d^2 (Hamilton) or a^2+b^2-c^2-d^2 (split)."""
-        if self.kind == HAMILTON:
-            return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
-        return self.a ** 2 + self.b ** 2 - self.c ** 2 - self.d ** 2
+        den = self._n[4]
+        return Fraction(self._norm_numerator(), den * den)
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm2()
+        n2 = self._norm_numerator()
         if n2 == 0:
             raise ZeroDivisionError("null split quaternion has no inverse")
-        conj = self.conj()
-        return Quaternion(self.kind, conj.a / n2, conj.b / n2,
-                          conj.c / n2, conj.d / n2)
+        # conj(q) / (n2 / den^2) = (a, -b, -c, -d) den / n2
+        a, b, c, d, den = self._n
+        if n2 < 0:
+            n2, den = -n2, -den
+        return _quaternion(self._kind,
+                           (a * den, -b * den, -c * den, -d * den, n2))
 
     def pure(self) -> "Quaternion":
-        return Quaternion(self.kind, 0, self.b, self.c, self.d)
+        _, b, c, d, den = self._n
+        return _quaternion(self._kind, (0, b, c, d, den))
 
     def is_pure(self) -> bool:
-        return self.a == 0
+        return self._n[0] == 0
 
     def __str__(self):
-        units = ("", "i", "jF"[self.kind == SPLIT], "kG"[self.kind == SPLIT])
+        units = ("", "i", "jF"[self._kind == SPLIT], "kG"[self._kind == SPLIT])
         parts = []
         for coeff, unit in zip((self.a, self.b, self.c, self.d), units):
             if coeff == 0:
@@ -167,6 +177,18 @@ class Quaternion:
         for sign, text in parts[1:]:
             out += sign + text
         return out
+
+    def __repr__(self):
+        return (f"Quaternion(kind={self._kind!r}, a={self.a!r}, b={self.b!r}, "
+                f"c={self.c!r}, d={self.d!r})")
+
+
+def _quaternion(kind: str, parts: tuple) -> Quaternion:
+    """The quaternion of the given kind from parts (a, b, c, d, den), den > 0."""
+    q = _new(Quaternion)
+    q._kind = kind
+    q._n = _lowest(parts)
+    return q
 
 
 def split(a=0, b=0, c=0, d=0) -> Quaternion:
@@ -206,16 +228,17 @@ class MinkowskiVector:
 
 def to_matrix2(q: Quaternion) -> Matrix:
     """Faithful 2x2 representation: Gaussian entries (Hamilton), rational (split)."""
+    a, b, c, d, den = q._n
     if q.kind == HAMILTON:
         # 1 -> I, i -> [[0,1],[-1,0]], j -> [[0,i],[i,0]], k -> [[i,0],[0,-i]]
         return Matrix(GAUSS, [
-            [Gaussian(q.a, q.d), Gaussian(q.b, q.c)],
-            [Gaussian(-q.b, q.c), Gaussian(q.a, -q.d)],
+            [Gaussian._of((a, d, den)), Gaussian._of((b, c, den))],
+            [Gaussian._of((-b, c, den)), Gaussian._of((a, -d, den))],
         ])
     # 1 -> I, i -> [[0,1],[-1,0]], F -> [[0,1],[1,0]], G -> [[1,0],[0,-1]]
     return Matrix(QQ, [
-        [q.a + q.d, q.b + q.c],
-        [-q.b + q.c, q.a - q.d],
+        [Fraction(a + d, den), Fraction(b + c, den)],
+        [Fraction(c - b, den), Fraction(a - d, den)],
     ])
 
 
@@ -239,8 +262,8 @@ def lie_bracket(u: Quaternion, v: Quaternion) -> Quaternion:
     """Half-commutator (uv - vu)/2; on pure units this is the vector product."""
     if u.kind != v.kind:
         raise ValueError("mixed Hamilton/split arithmetic")
-    diff = u * v - v * u
-    return Quaternion(diff.kind, diff.a / 2, diff.b / 2, diff.c / 2, diff.d / 2)
+    a, b, c, d, den = (u * v - v * u)._n
+    return _quaternion(u.kind, (a, b, c, d, 2 * den))
 
 
 def isotropic_basis():

@@ -11,6 +11,11 @@ custom types:
 * :class:`Poly2`       -- integer polynomials in two commuting symbols a, b
 * ``complex``          -- double-precision complex, tolerance equality
 
+``Gaussian``, ``RootTwo`` and :class:`krawtchouk.quaternion.Quaternion`
+store integer numerators over one positive denominator in lowest terms, so
+their arithmetic is integer arithmetic and each value has one stored form;
+their components still read as ``Fraction``.
+
 A :class:`Ring` descriptor bundles the zero/one constants, checked equality,
 string formatting and parsing for each of them, keyed by a short name that is
 also used in the JSON serialization of matrices.
@@ -19,10 +24,12 @@ also used in the JSON serialization of matrices.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 COMPLEX_TOL = 1e-9  # per-component tolerance for the float ring
+
+_new = object.__new__
 
 
 def _frac(x) -> Fraction:
@@ -35,60 +42,132 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class Gaussian:
-    """Gaussian number re + im*i with exact rational components."""
+def _lowest(parts: tuple) -> tuple:
+    """Integer numerators, positive denominator last, in lowest terms.
 
-    re: Fraction
-    im: Fraction
+    One gcd over all parts divides out their common factor, which gives an
+    exact value its one stored form; a denominator of 1 skips it.
+    """
+    if parts[-1] == 1:
+        return parts
+    g = gcd(*parts)
+    if g == 1:
+        return parts
+    return tuple([x // g for x in parts])
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+
+def _over_common_den(values, convert) -> tuple:
+    """Rationals as integer numerators over their least common denominator.
+
+    The result is already lowest: each prime power of the lcm is the whole
+    reduced denominator of some value, whose numerator is prime to it.
+    """
+    if all(type(v) is int for v in values):
+        return (*values, 1)
+    fracs = [v if isinstance(v, (int, Fraction)) else convert(v)
+             for v in values]
+    den = lcm(*[f.denominator for f in fracs])
+    return (*[f.numerator * (den // f.denominator) for f in fracs], den)
+
+
+def _component(index: int) -> property:
+    """Read-only ``Fraction`` view of one numerator over the shared den."""
+    return property(lambda self: Fraction(self._n[index], self._n[-1]))
+
+
+class _Quadratic:
+    """(x + y*u)/den in Q[u], for the integer u^2 = ``_SQUARE`` of a subclass.
+
+    ``_n = (x, y, den)`` holds the integer numerators over one positive
+    denominator in lowest terms.
+    """
+
+    __slots__ = ("_n",)
+    _SQUARE = 0
+
+    @classmethod
+    def _of(cls, parts: tuple):
+        """The element with parts (x, y, den), den > 0, reduced."""
+        z = _new(cls)
+        z._n = _lowest(parts)
+        return z
+
+    @classmethod
+    def _coerce(cls, other):
+        if isinstance(other, cls):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return cls._of((other.numerator, 0, other.denominator))
+        return NotImplemented
 
     def __add__(self, other):
-        other = _as_gaussian(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Gaussian(self.re + other.re, self.im + other.im)
+        x1, y1, d1 = self._n
+        x2, y2, d2 = other._n
+        if d1 == d2:
+            return self._of((x1 + x2, y1 + y2, d1))
+        return self._of((x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gaussian(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Gaussian(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _as_gaussian(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = _as_gaussian(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Gaussian(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        x1, y1, d1 = self._n
+        x2, y2, d2 = other._n
+        # (x1 + y1 u)(x2 + y2 u) = x1x2 + u^2 y1y2 + (x1y2 + y1x2) u
+        return self._of((x1 * x2 + self._SQUARE * y1 * y2,
+                         x1 * y2 + y1 * x2, d1 * d2))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Gaussian(-self.re, -self.im)
+        x, y, den = self._n
+        return self._of((-x, -y, den))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Gaussian(other)
-        if not isinstance(other, Gaussian):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._n == other._n
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        x, y, den = self._n
+        if y == 0:
+            return hash(Fraction(x, den))  # as the rational it equals
+        return hash(self._n)
 
-    def conj(self) -> "Gaussian":
-        return Gaussian(self.re, -self.im)
+    def conj(self):
+        x, y, den = self._n
+        return self._of((x, -y, den))
+
+
+class Gaussian(_Quadratic):
+    """Gaussian number re + im*i with exact rational components."""
+
+    __slots__ = ()
+    _SQUARE = -1
+
+    def __init__(self, re=0, im=0):
+        self._n = _over_common_den((re, im), _frac)
+
+    re = _component(0)
+    im = _component(1)
 
     def __str__(self):
         return fmt_gaussian(self)
@@ -100,80 +179,34 @@ class Gaussian:
 I = Gaussian(0, 1)
 
 
-def _as_gaussian(x):
-    if isinstance(x, Gaussian):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Gaussian(x)
-    return NotImplemented
-
-
-@dataclass(frozen=True)
-class RootTwo:
+class RootTwo(_Quadratic):
     """Element a + b*sqrt(2) of the quadratic ring Q[sqrt(2)]."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
+    _SQUARE = 2
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
+        self._n = _over_common_den((a, b), _frac)
 
-    def __add__(self, other):
-        other = _as_root2(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RootTwo(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_root2(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RootTwo(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return _as_root2(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = _as_root2(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # (a + b√2)(c + d√2) = ac + 2bd + (ad + bc)√2
-        return RootTwo(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RootTwo(-self.a, -self.b)
+    a = _component(0)
+    b = _component(1)
 
     def __truediv__(self, other):
-        other = _as_root2(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # conjugate trick: 1/(c + d√2) = (c - d√2)/(c² - 2d²)
-        norm = other.a * other.a - 2 * other.b * other.b
+        x1, y1, d1 = self._n
+        x2, y2, d2 = other._n
+        # conjugate trick: d2/(x2 + y2√2) = (x2 - y2√2) d2/(x2² - 2y2²)
+        norm = x2 * x2 - 2 * y2 * y2
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q[sqrt(2)]")
-        inv = RootTwo(other.a / norm, -other.b / norm)
-        return self * inv
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RootTwo(other)
-        if not isinstance(other, RootTwo):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def conj(self) -> "RootTwo":
-        return RootTwo(self.a, -self.b)
+        x = (x1 * x2 - 2 * y1 * y2) * d2
+        y = (y1 * x2 - x1 * y2) * d2
+        den = d1 * norm
+        if den < 0:
+            x, y, den = -x, -y, -den
+        return self._of((x, y, den))
 
     def __str__(self):
         return fmt_root2(self)
@@ -183,14 +216,6 @@ class RootTwo:
 
 
 SQRT2 = RootTwo(0, 1)
-
-
-def _as_root2(x):
-    if isinstance(x, RootTwo):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RootTwo(x)
-    return NotImplemented
 
 
 def sqrt2_power(m: int) -> RootTwo:
@@ -253,7 +278,10 @@ class Poly2:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_poly2(other).__sub__(self)
+        other = _as_poly2(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = _as_poly2(other)

@@ -161,19 +161,28 @@ def kron_power(a: Matrix, n: int) -> Matrix:
 
 
 def box_power(a: Matrix, n: int) -> Matrix:
-    """Kronecker-sum power: sum over slots of I x ... x A x ... x I."""
+    """Kronecker-sum power: sum over slots of I x ... x A x ... x I.
+
+    Slot s acts on bit k = n-1-s of the 2^n indices, so row r holds the
+    sum of A[r_k, r_k] over all bits on its diagonal and A[r_k, 1-r_k] at
+    column r ^ 2^k: at most n+1 nonzeros, written in place.
+    """
     _require_2x2(a)
     require_kron_order(n)
-    if n == 0:
-        return Matrix.zeros(1, 1, a.ring)
-    eye = Matrix.identity(2, a.ring)
-    total = None
-    for slot in range(n):
-        term = Matrix.identity(1, a.ring)
-        for pos in range(n):
-            term = term.kron(a if pos == slot else eye)
-        total = term if total is None else total + term
-    return total
+    zero = a.ring.zero
+    size = 1 << n
+
+    def row(r):
+        out = [zero] * size
+        diag = zero
+        for k in range(n):
+            bit = (r >> k) & 1
+            diag = diag + a[bit, bit]
+            out[r ^ (1 << k)] = a[bit, 1 - bit]
+        out[r] = diag
+        return out
+
+    return Matrix(a.ring, (row(r) for r in range(size)))
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,13 @@ def test_pathsum_command(capsys):
     assert out.strip() == "-1"
 
 
+def test_pathsum_command_refuses_above_word_bound(capsys):
+    code, out, err = run_cli(capsys, "pathsum", "--n", "30", "--p", "15",
+                             "--q", "2")
+    assert code == 2 and out == ""
+    assert "enumeration bound" in err
+
+
 def test_transform_command(capsys):
     code, out, _ = run_cli(capsys, "transform", "--n", "3",
                            "--covector", "8,4,2,1")

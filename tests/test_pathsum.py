@@ -104,3 +104,35 @@ def test_path_sum_cells_match_oracle():
         pathsum.oracle_matrix(6, ALPHA, BETA)[2, 3]
     # the bundled example: quantum depth 2, destination 3 on a 4-lattice
     assert pathsum.path_sum(4, 3, 2) == 0
+
+
+def test_enumeration_bound_admits_the_largest_used_calls():
+    assert math.comb(20, 10) <= pathsum.WORD_BOUND < math.comb(24, 12)
+    pathsum.require_enumerable(20, 10)
+    pathsum.require_enumerable(16, 8)
+    for n in range(60):
+        for p in range(n + 1):
+            within = math.comb(n, p) <= pathsum.WORD_BOUND
+            try:
+                pathsum.require_enumerable(n, p)
+            except ValueError:
+                assert not within, (n, p)
+            else:
+                assert within, (n, p)
+
+
+def test_enumerations_refuse_before_any_work(monkeypatch):
+    def never(*args):
+        raise AssertionError("enumerated above the word bound")
+
+    monkeypatch.setattr(pathsum, "combinations", never)
+    monkeypatch.setattr(pathsum, "path_weight", never)
+    for n, p in ((24, 12), (40, 6), (10 ** 9, 5 * 10 ** 8)):
+        with pytest.raises(ValueError, match="enumeration bound"):
+            pathsum.path_sum(n, p, 0)
+        with pytest.raises(ValueError, match="enumeration bound"):
+            pathsum.PathEnsemble(n, p, 1, 1, -1).total_weight()
+        with pytest.raises(ValueError, match="enumeration bound"):
+            pathsum.words_to(n, p)
+        with pytest.raises(ValueError, match="enumeration bound"):
+            pathsum.twiston_energy(n, 0, p)

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from krawtchouk import quaternion as qt
 from krawtchouk.matrix import Matrix
@@ -193,3 +196,115 @@ def test_minkowski_vector_view():
     assert qt.MinkowskiVector.of(qt.split(0, 3, 1, 2)) == v
     with pytest.raises(ValueError):
         qt.MinkowskiVector.of(qt.split(1, 1, 0, 0))
+
+
+# Literal unit tables: TABLES[kind][u][v] is the product of units u and v,
+# rows and columns in the order (1, i, j, k) or (1, i, F, G).
+UNITS = {qt.HAMILTON: ("1", "i", "j", "k"), qt.SPLIT: ("1", "i", "F", "G")}
+TABLES = {
+    qt.HAMILTON: [["1", "i", "j", "k"],
+                  ["i", "-1", "k", "-j"],
+                  ["j", "-k", "-1", "i"],
+                  ["k", "j", "-i", "-1"]],
+    qt.SPLIT: [["1", "i", "F", "G"],
+               ["i", "-1", "G", "-F"],
+               ["F", "-G", "1", "-i"],
+               ["G", "F", "i", "1"]],
+}
+MAKERS = {qt.HAMILTON: qt.hamilton, qt.SPLIT: qt.split}
+
+
+def table_entry(kind, u, v):
+    """(sign, unit index) of the literal product of units u and v."""
+    text = TABLES[kind][u][v]
+    sign = -1 if text.startswith("-") else 1
+    return sign, UNITS[kind].index(text.lstrip("-"))
+
+
+def unit(kind, index):
+    coeffs = [0, 0, 0, 0]
+    coeffs[index] = 1
+    return MAKERS[kind](*coeffs)
+
+
+@pytest.mark.parametrize("kind", [qt.HAMILTON, qt.SPLIT])
+def test_all_unit_products_match_literal_table(kind):
+    for u in range(4):
+        for v in range(4):
+            sign, w = table_entry(kind, u, v)
+            assert unit(kind, u) * unit(kind, v) == sign * unit(kind, w), \
+                (kind, UNITS[kind][u], UNITS[kind][v])
+
+
+def model_product(kind, x, y):
+    """Component-wise Fraction product through the literal unit table."""
+    out = [Fraction(0)] * 4
+    for u in range(4):
+        for v in range(4):
+            sign, w = table_entry(kind, u, v)
+            out[w] += sign * x[u] * y[v]
+    return tuple(out)
+
+
+def model_of(q):
+    den = q._n[-1]
+    assert den > 0 and gcd(*q._n) == 1
+    parts = (q.a, q.b, q.c, q.d)
+    assert all(type(part) is Fraction for part in parts)
+    return parts
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+coefficients = st.tuples(rationals, rationals, rationals, rationals)
+
+
+@seed(20260502)
+@settings(max_examples=100)
+@given(st.sampled_from([qt.HAMILTON, qt.SPLIT]), coefficients, coefficients,
+       rationals)
+def test_quaternions_match_fraction_model(kind, x, y, r):
+    p, q = MAKERS[kind](*x), MAKERS[kind](*y)
+    square = 1 if kind == qt.SPLIT else -1
+    assert model_of(p) == x and model_of(q) == y
+    assert model_of(p + q) == tuple(s + t for s, t in zip(x, y))
+    assert model_of(p - q) == tuple(s - t for s, t in zip(x, y))
+    assert model_of(p * q) == model_product(kind, x, y)
+    assert model_of(-p) == tuple(-s for s in x)
+    assert model_of(p.conj()) == (x[0], -x[1], -x[2], -x[3])
+    assert model_of(p * r) == model_of(r * p) == tuple(s * r for s in x)
+    assert model_of(r - p) == (r - x[0], -x[1], -x[2], -x[3])
+    norm = x[0] ** 2 + x[1] ** 2 - square * (x[2] ** 2 + x[3] ** 2)
+    assert type(p.norm2()) is Fraction and p.norm2() == norm
+    assert (p == q) == (x == y)
+    assert p == MAKERS[kind](*x) and hash(p) == hash(MAKERS[kind](*x))
+    if norm == 0:
+        with pytest.raises(ZeroDivisionError):
+            p.inverse()
+    else:
+        conj = (x[0], -x[1], -x[2], -x[3])
+        assert model_of(p.inverse()) == tuple(s / norm for s in conj)
+        assert p * p.inverse() == MAKERS[kind](1)
+
+
+def test_foreign_operands_raise_type_error():
+    for foreign in ("x", 1.5, None):
+        with pytest.raises(TypeError):
+            foreign - qt.F
+        with pytest.raises(TypeError):
+            qt.F - foreign
+        with pytest.raises(TypeError):
+            foreign * qt.F
+        with pytest.raises(TypeError):
+            foreign + qt.F
+
+
+def test_values_are_read_only():
+    for attr in ("kind", "a", "b", "c", "d"):
+        with pytest.raises(AttributeError):
+            setattr(qt.H, attr, 1)
+    with pytest.raises(AttributeError):
+        qt.H.extra = 1
+    assert qt.H == qt.split(0, 0, 1, 1)
+    assert repr(qt.H) == ("Quaternion(kind='Split', a=Fraction(0, 1), "
+                          "b=Fraction(0, 1), c=Fraction(1, 1), "
+                          "d=Fraction(1, 1))")

@@ -1,9 +1,10 @@
 """Ring axioms and codec round-trips for the exact scalar types."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from krawtchouk.rings import (
@@ -130,3 +131,91 @@ def test_parse_edge_cases():
     assert parse_poly2("a^2b-2ab+1") == \
         Poly2({(2, 1): 1, (1, 1): -2, (0, 0): 1})
     assert parse_poly2("0") == Poly2()
+
+
+def assert_canonical(x):
+    """One stored form: numerators over a positive den, gcd 1."""
+    den = x._n[-1]
+    assert type(den) is int and den > 0
+    assert all(type(part) is int for part in x._n)
+    assert gcd(*x._n) == 1
+
+
+# Each exact type against a plain component-wise Fraction model:
+# (type, component names, model product, model conjugate)
+MODELS = [
+    (Gaussian, ("re", "im"),
+     lambda u, v: (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])),
+    (RootTwo, ("a", "b"),
+     lambda u, v: (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])),
+]
+
+
+@seed(20260501)
+@settings(max_examples=100)
+@given(st.sampled_from(MODELS), fractions, fractions, fractions, fractions)
+def test_exact_types_match_fraction_model(model, a, b, c, d):
+    cls, names, product = model
+    x, y = cls(a, b), cls(c, d)
+
+    def model_of(value):
+        assert_canonical(value)
+        parts = tuple(getattr(value, name) for name in names)
+        assert all(type(part) is Fraction for part in parts)
+        return parts
+
+    assert model_of(x) == (a, b) and model_of(y) == (c, d)
+    assert model_of(x + y) == (a + c, b + d)
+    assert model_of(x - y) == (a - c, b - d)
+    assert model_of(x * y) == product((a, b), (c, d))
+    assert model_of(-x) == (-a, -b)
+    assert model_of(x.conj()) == (a, -b)
+    assert model_of(x + c) == (a + c, b)
+    assert model_of(c - x) == (c - a, -b)
+    assert model_of(x * c) == (a * c, b * c)
+    assert (x == y) == ((a, b) == (c, d))
+    assert x == cls(a, b) and hash(x) == hash(cls(a, b))
+    if b == 0:
+        assert x == a and hash(x) == hash(a)
+    if cls is RootTwo and (c, d) != (0, 0):
+        quotient = model_of(x / y)
+        assert cls(*quotient) * y == x
+        norm = c * c - 2 * d * d
+        assert quotient == ((a * c - 2 * b * d) / norm,
+                            (b * c - a * d) / norm)
+
+
+@pytest.mark.parametrize("cls", [Gaussian, RootTwo])
+def test_rational_values_hash_like_their_rational(cls):
+    for value in (3, -7, 0, Fraction(1, 2), Fraction(-22, 6)):
+        assert cls(value) == value
+        assert hash(cls(value)) == hash(value)
+        assert len({cls(value), value}) == 1
+    assert hash(cls(Fraction(4, 2), 0)) == hash(2)
+    assert cls(1, 1) != 1
+
+
+@pytest.mark.parametrize("value", [Gaussian(1), RootTwo(1), Poly2.const(1)])
+def test_foreign_operands_raise_type_error(value):
+    for foreign in ("x", 1.5, None):
+        with pytest.raises(TypeError):
+            foreign - value
+        with pytest.raises(TypeError):
+            value - foreign
+        with pytest.raises(TypeError):
+            foreign + value
+        with pytest.raises(TypeError):
+            foreign * value
+
+
+@pytest.mark.parametrize("value,attrs,text", [
+    (Gaussian(1, Fraction(-1, 2)), ("re", "im"), "Gaussian(1, -1/2)"),
+    (RootTwo(Fraction(3, 4), 2), ("a", "b"), "RootTwo(3/4, 2)"),
+])
+def test_values_are_read_only(value, attrs, text):
+    for attr in attrs:
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 1)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == text

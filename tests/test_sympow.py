@@ -1,12 +1,13 @@
 """Tensor-power functors and the identities they derive."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from krawtchouk import core, spectral, sympow
 from krawtchouk.matrix import Matrix
-from krawtchouk.rings import ZZ
+from krawtchouk.rings import QQ, ZZ
 
 
 def rand2(rng, lo=-4, hi=4):
@@ -156,6 +157,44 @@ def test_box_power():
             lhs = sympow.box_power(a @ b - b @ a, n)
             am, bm = sympow.box_power(a, n), sympow.box_power(b, n)
             assert lhs == am @ bm - bm @ am
+
+
+def naive_box_power(a, n):
+    """Reference: the sum over slots of I x ... x A x ... x I, by kron."""
+    if n == 0:
+        return Matrix.zeros(1, 1, a.ring)
+    eye = Matrix.identity(2, a.ring)
+    total = None
+    for slot in range(n):
+        term = Matrix.identity(1, a.ring)
+        for pos in range(n):
+            term = term.kron(a if pos == slot else eye)
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_box_power_matches_kron_sum(n):
+    rng = random.Random(31 + n)
+    mats = [sympow.MAT_F, sympow.MAT_G, sympow.MAT_H, rand2(rng),
+            Matrix(QQ, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                         for _ in range(2)] for _ in range(2)])]
+    for a in mats:
+        box = sympow.box_power(a, n)
+        assert box == naive_box_power(a, n), (a, n)
+        assert box.ring == a.ring
+        assert all(type(x) is type(a.ring.zero) for row in box.data
+                   for x in row)
+
+
+def test_box_power_refuses_before_allocating(monkeypatch):
+    def never(*args):
+        raise AssertionError("allocated above the entry bound")
+
+    monkeypatch.setattr(sympow, "Matrix", never)
+    for n in (sympow.KRON_BOUND + 1, 40, -1):
+        with pytest.raises(ValueError, match="bound"):
+            sympow.box_power(sympow.MAT_F, n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
