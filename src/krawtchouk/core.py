@@ -15,7 +15,9 @@ checks for the identities that tie them together, all over the integers:
 
 The checks, here and in the other modules, compare against one memoised
 reference, :func:`k_reference`; the constructions never read it, so each
-stays an independent route to K.
+stays an independent route to K.  Every check reports through
+:func:`krawtchouk.matrix.check_cells`: the first mismatching cell, its two
+sides, and the name of the identity it broke.
 
 Two further constructions live in :mod:`krawtchouk.sympow` (symmetric tensor
 power of the 2x2 Hadamard matrix) and :mod:`krawtchouk.pathsum` (sum over
@@ -25,12 +27,13 @@ Sylvester-matrix route to the symmetric variant.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .matrix import CheckReport, Matrix
+from .matrix import CheckReport, Matrix, check_cells
 from .rings import QQ, ZZ
 
 # Above this order the CLI warns about output size; the library still works.
@@ -196,16 +199,12 @@ def ortho_check(n: int) -> CheckReport:
     d = Matrix.diag([top // w for w in weights], ZZ)
     kg = k @ g
     scale = 2 ** n
-    checks = [
-        (g @ kt, kg, "G K^T = K G"),
-        (kg @ kt, g.scale(scale), "K G K^T = 2^n G"),
-        (kt @ d @ k, d.scale(scale), "K^T D K = 2^n D, D = lcm C(n,i) G^-1"),
-    ]
-    for lhs, rhs, note in checks:
-        report = CheckReport.of_matrices(lhs, rhs, n=n, note=note)
-        if not report.ok:
-            return report
-    return CheckReport.passed(n=n, note="orthogonality")
+    return check_cells([
+        ("G K^T = K G", (g @ kt).cells(kg)),
+        ("K G K^T = 2^n G", (kg @ kt).cells(g.scale(scale))),
+        ("K^T D K = 2^n D, D = lcm C(n,i) G^-1",
+         (kt @ d @ k).cells(d.scale(scale))),
+    ], n=n)
 
 
 def covector_transform(n: int, row) -> list:
@@ -228,18 +227,18 @@ def construction_equivalence_check(n: int) -> CheckReport:
 
 
 def symmetry_identities_check(n: int) -> CheckReport:
-    """K_{pq} = (-1)^q K_{n-p,q} and K_{pq} = (-1)^p K_{p,n-q}."""
+    """K_{pq} = (-1)^q K_{n-p,q} and K_{pq} = (-1)^p K_{p,n-q}.
+
+    The same two reversals as :func:`krawtchouk.sympow.symmetry_check`,
+    cell by cell; no ``verify`` suite runs this one.
+    """
     k = k_reference(n)
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if k[p, q] != (-1) ** q * k[n - p, q]:
-                return CheckReport(False, n=n, location=(p, q),
-                                   lhs=str(k[p, q]),
-                                   rhs=str((-1) ** q * k[n - p, q]),
-                                   note="row reversal symmetry")
-            if k[p, q] != (-1) ** p * k[p, n - q]:
-                return CheckReport(False, n=n, location=(p, q),
-                                   lhs=str(k[p, q]),
-                                   rhs=str((-1) ** p * k[p, n - q]),
-                                   note="column reversal symmetry")
-    return CheckReport.passed(n=n, note="symmetries")
+    signs = [(-1) ** i for i in range(n + 1)]
+    rows_reversed = Matrix(ZZ, [list(map(operator.mul, signs, row))
+                                for row in reversed(k.data)])
+    cols_reversed = Matrix(ZZ, [[s * x for x in reversed(row)]
+                                for s, row in zip(signs, k.data)])
+    return check_cells([
+        ("row reversal symmetry", k.cells(rows_reversed)),
+        ("column reversal symmetry", k.cells(cols_reversed)),
+    ], n=n)

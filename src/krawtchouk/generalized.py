@@ -19,7 +19,7 @@ import cmath
 import math
 
 from .core import k_binsum
-from .matrix import CheckReport, Matrix
+from .matrix import CheckReport, Matrix, check_cells
 from .rings import ALPHA, BETA, GAUSS, Gaussian, POLY2, ring_of
 
 
@@ -35,15 +35,15 @@ def k_general(n: int, alpha, beta) -> Matrix:
     for q in range(n + 1):
         coeffs = [one]
         for _ in range(n - q):
-            coeffs = _poly_mul_linear(coeffs, alpha, one, ring.zero)
+            coeffs = _poly_mul_linear(coeffs, alpha, ring.zero)
         for _ in range(q):
-            coeffs = _poly_mul_linear(coeffs, beta, one, ring.zero)
+            coeffs = _poly_mul_linear(coeffs, beta, ring.zero)
         cols.append(coeffs)
     rows = [[cols[q][p] for q in range(n + 1)] for p in range(n + 1)]
     return Matrix(ring, rows)
 
 
-def _poly_mul_linear(coeffs, root, one, zero):
+def _poly_mul_linear(coeffs, root, zero):
     """Multiply a coefficient list by (1 + root*t)."""
     out = [zero] * (len(coeffs) + 1)
     for i, c in enumerate(coeffs):
@@ -66,6 +66,48 @@ def specialize(mat: Matrix, alpha, beta) -> Matrix:
     return mat.map(lambda p: p.evaluate(alpha, beta) * one, ring)
 
 
+def padded_entries(mats: dict, zero):
+    """E(m, p, q): entry (p, q) of the order-m matrix ``mats[m]``, zero
+    outside the index range 0..m."""
+    def entry(m, p, q):
+        if 0 <= p <= m and 0 <= q <= m:
+            return mats[m][p, q]
+        return zero
+    return entry
+
+
+def cross_cells(entry, n: int, alpha, beta) -> list:
+    """The four cross identities at order n as named cells over (p, q).
+
+    ``entry`` is E(m, p, q) of :func:`padded_entries` for m = n-1, n, n+1.
+    """
+    diff = alpha - beta
+    idx = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    inner = [(p, q) for p, q in idx if q < n]
+    return [
+        ("cross identity (i)",
+         (((p, q), alpha * entry(n, p, q) + entry(n, p + 1, q),
+           entry(n + 1, p + 1, q)) for p, q in idx)),
+        ("cross identity (ii)",
+         (((p, q), beta * entry(n, p, q) + entry(n, p + 1, q),
+           entry(n + 1, p + 1, q + 1)) for p, q in idx)),
+        ("cross identity (iii)",
+         (((p, q), entry(n, p, q) - entry(n, p, q + 1),
+           diff * entry(n - 1, p - 1, q)) for p, q in inner)),
+        ("cross identity (iv)",
+         (((p, q), alpha * entry(n, p, q + 1) - beta * entry(n, p, q),
+           diff * entry(n - 1, p, q)) for p, q in inner)),
+    ]
+
+
+def trace_cells(k: Matrix, alpha, beta):
+    """beta*x + z = alpha*y + t for the 2x2 block [[x,y],[z,t]] at (p, q)."""
+    n = k.rows - 1
+    return (((p, q), beta * k[p, q] + k[p + 1, q],
+             alpha * k[p, q + 1] + k[p + 1, q + 1])
+            for p in range(n) for q in range(n))
+
+
 def general_cross_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
     """The four cross identities of the (alpha, beta) family.
 
@@ -79,43 +121,9 @@ def general_cross_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
     if n < 1:
         raise ValueError("cross identities need order >= 1")
     ring = ring_of(alpha)
-    zero = ring.zero
-    ks = {m: k_general(m, alpha, beta) for m in (n - 1, n, n + 1)}
-
-    def entry(m, p, q):
-        if 0 <= p <= m and 0 <= q <= m:
-            return ks[m][p, q]
-        return zero
-
-    diff = alpha - beta
-    for p in range(n + 1):
-        for q in range(n + 1):
-            lhs = alpha * entry(n, p, q) + entry(n, p + 1, q)
-            rhs = entry(n + 1, p + 1, q)
-            if not ring.eq(lhs, rhs):
-                return CheckReport(False, n=n, location=(p, q),
-                                   lhs=ring.fmt(lhs), rhs=ring.fmt(rhs),
-                                   note="cross identity (i)")
-            lhs = beta * entry(n, p, q) + entry(n, p + 1, q)
-            rhs = entry(n + 1, p + 1, q + 1)
-            if not ring.eq(lhs, rhs):
-                return CheckReport(False, n=n, location=(p, q),
-                                   lhs=ring.fmt(lhs), rhs=ring.fmt(rhs),
-                                   note="cross identity (ii)")
-            if q < n:
-                lhs = entry(n, p, q) - entry(n, p, q + 1)
-                rhs = diff * entry(n - 1, p - 1, q)
-                if not ring.eq(lhs, rhs):
-                    return CheckReport(False, n=n, location=(p, q),
-                                       lhs=ring.fmt(lhs), rhs=ring.fmt(rhs),
-                                       note="cross identity (iii)")
-                lhs = alpha * entry(n, p, q + 1) - beta * entry(n, p, q)
-                rhs = diff * entry(n - 1, p, q)
-                if not ring.eq(lhs, rhs):
-                    return CheckReport(False, n=n, location=(p, q),
-                                       lhs=ring.fmt(lhs), rhs=ring.fmt(rhs),
-                                       note="cross identity (iv)")
-    return CheckReport.passed(n=n, note="cross identities")
+    entry = padded_entries({m: k_general(m, alpha, beta)
+                            for m in (n - 1, n, n + 1)}, ring.zero)
+    return check_cells(cross_cells(entry, n, alpha, beta), n=n, ring=ring)
 
 
 def trace_identity_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
@@ -127,19 +135,8 @@ def trace_identity_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
     """
     if n < 1:
         raise ValueError("trace identity needs order >= 1")
-    ring = ring_of(alpha)
-    k = k_general(n, alpha, beta)
-    for p in range(n):
-        for q in range(n):
-            x, y = k[p, q], k[p, q + 1]
-            z, t = k[p + 1, q], k[p + 1, q + 1]
-            lhs = beta * x + z
-            rhs = alpha * y + t
-            if not ring.eq(lhs, rhs):
-                return CheckReport(False, n=n, location=(p, q),
-                                   lhs=ring.fmt(lhs), rhs=ring.fmt(rhs),
-                                   note="trace identity")
-    return CheckReport.passed(n=n, note="trace identity")
+    cells = trace_cells(k_general(n, alpha, beta), alpha, beta)
+    return check_cells([("trace identity", cells)], n=n, ring=ring_of(alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import k_reference
-from .matrix import CheckReport
+from .matrix import CheckReport, check_cells, vector_cells
 from .spectral import binomial_vector
 
 ENUM_BOUND = 24   # 2^dim enumeration
@@ -152,20 +152,22 @@ def weight_character(space: BinarySubspace) -> WeightCharacter:
     return WeightCharacter(tuple(counts))
 
 
+MACWILLIAMS = "2^dim(W) char(W-perp) = K char(W)"
+
+
 def macwilliams_check(space: BinarySubspace) -> CheckReport:
     """2^dim(W) char(W-perp) = K char(W), entrywise exact."""
+    return check_cells([(MACWILLIAMS, _macwilliams_cells(space))], n=space.n)
+
+
+def _macwilliams_cells(space: BinarySubspace):
     n = space.n
     if n > CHECK_BOUND:
         raise ValueError(f"MacWilliams check bound is n <= {CHECK_BOUND}")
     perp = complement(space)
     lhs = [2 ** space.dim * c for c in weight_character(perp).counts]
     rhs = k_reference(n).mul_vector(weight_character(space).as_list())
-    if lhs != rhs:
-        idx = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-        return CheckReport(False, n=n, location=(idx,),
-                           lhs=str(lhs[idx]), rhs=str(rhs[idx]),
-                           note=f"MacWilliams failed for {space}")
-    return CheckReport.passed(n=n, note=f"MacWilliams for {space}")
+    return vector_cells(lhs, rhs)
 
 
 def coordinate_subspace_note(space: BinarySubspace) -> CheckReport:
@@ -180,16 +182,13 @@ def coordinate_subspace_note(space: BinarySubspace) -> CheckReport:
     k = space.dim
     n = space.n
     char = weight_character(space).as_list()
-    if char != binomial_vector(n, k):
-        return CheckReport(False, n=n, lhs=str(char),
-                           rhs=str(binomial_vector(n, k)),
-                           note="character is not the binomial vector")
-    transformed = k_reference(n).mul_vector(char)
-    expected = [2 ** k * x for x in binomial_vector(n, n - k)]
-    if transformed != expected:
-        return CheckReport(False, n=n, lhs=str(transformed),
-                           rhs=str(expected), note="binomial transform")
-    return macwilliams_check(space)
+    return check_cells([
+        ("char(W) = b^(dim W)", vector_cells(char, binomial_vector(n, k))),
+        ("K b^(k) = 2^k b^(n-k)",
+         vector_cells(k_reference(n).mul_vector(char),
+                      [2 ** k * x for x in binomial_vector(n, n - k)])),
+        (MACWILLIAMS, _macwilliams_cells(space)),
+    ], n=n)
 
 
 def random_subspace(rng, n: int) -> BinarySubspace:

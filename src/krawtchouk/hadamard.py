@@ -30,7 +30,8 @@ from math import comb
 from operator import add, sub
 
 from .core import KrawtchoukMatrix, genfunc_column, k_entry, k_reference
-from .matrix import CheckReport, Matrix
+from .generalized import cross_cells, padded_entries, trace_cells
+from .matrix import CheckReport, Matrix, check_cells
 from .rings import ZZ
 
 REDUCE_BOUND = 16  # 2^n-entry lists, n + 1 transforms
@@ -149,43 +150,23 @@ def pyramid_cross_check(n_max: int) -> CheckReport:
       (iv)  E(n,i,j) - E(n,i,j+1) = 2 E(n-1,i-1,j)
       (v)   E(n,i+1,j) = E(n,i,j) + E(n,i,j+1) + E(n,i+1,j+1)
 
+    (i)-(iv) are the cross identities of
+    :func:`krawtchouk.generalized.general_cross_check` at
+    (alpha, beta) = (1, -1), where they are numbered (i), (ii), (iv), (iii).
     (v) is the square identity: of any four adjacent entries, the lower
     left is the sum of the other three (the classical specialization of the
-    trace identity).
+    trace identity).  Both run on the reference matrices.
     """
     if n_max < 2:
         raise ValueError("cross identities need n_max >= 2")
-    ks = {m: k_reference(m) for m in range(n_max + 2)}
-
-    def entry(m, i, j):
-        if 0 <= i <= m and 0 <= j <= m:
-            return ks[m][i, j]
-        return 0
-
+    entry = padded_entries({m: k_reference(m) for m in range(n_max + 2)}, 0)
     for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            for j in range(n + 1):
-                cases = [
-                    (entry(n, i + 1, j) + entry(n, i, j),
-                     entry(n + 1, i + 1, j), "cross (i)"),
-                    (entry(n, i + 1, j) - entry(n, i, j),
-                     entry(n + 1, i + 1, j + 1), "cross (ii)"),
-                ]
-                if j < n:
-                    cases.append((entry(n, i, j) + entry(n, i, j + 1),
-                                  2 * entry(n - 1, i, j), "cross (iii)"))
-                    cases.append((entry(n, i, j) - entry(n, i, j + 1),
-                                  2 * entry(n - 1, i - 1, j), "cross (iv)"))
-                if i < n and j < n:
-                    cases.append((entry(n, i + 1, j),
-                                  entry(n, i, j) + entry(n, i, j + 1)
-                                  + entry(n, i + 1, j + 1), "square (v)"))
-                for lhs, rhs, note in cases:
-                    if lhs != rhs:
-                        return CheckReport(False, n=n, location=(i, j),
-                                           lhs=str(lhs), rhs=str(rhs),
-                                           note=note)
-    return CheckReport.passed(n=n_max, note="pyramid cross identities")
+        report = check_cells(
+            cross_cells(entry, n, 1, -1)
+            + [("trace identity", trace_cells(k_reference(n), 1, -1))], n=n)
+        if not report.ok:
+            break
+    return report
 
 
 @dataclass(frozen=True)

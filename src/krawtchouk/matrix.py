@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from itertools import chain, product
 
 from .rings import Ring, RINGS, ZZ, ring_of
 
@@ -221,16 +222,14 @@ class Matrix:
     def __hash__(self):
         return hash((self.ring, self.data))
 
-    def first_mismatch(self, other: "Matrix"):
-        """(i, j, lhs, rhs) of the first differing entry, or None."""
+    def cells(self, other: "Matrix"):
+        """((i, j), self[i, j], other[i, j]) row by row, for
+        :func:`check_cells`; the shapes must agree."""
         if self.shape != other.shape:
-            return (-1, -1, f"shape {self.shape}", f"shape {other.shape}")
-        eq = self.ring.eq
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if not eq(self.data[i][j], other.data[i][j]):
-                    return (i, j, self.data[i][j], other.data[i][j])
-        return None
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return zip(product(range(self.rows), range(self.cols)),
+                   chain.from_iterable(self.data),
+                   chain.from_iterable(other.data))
 
     def __str__(self):
         return self.pretty()
@@ -280,7 +279,12 @@ class Matrix:
 
 @dataclass
 class CheckReport:
-    """Outcome of one identity check with the first mismatch, if any."""
+    """Outcome of one identity check with the first mismatch, if any.
+
+    On a failure ``note`` names the identity, ``location`` indexes the
+    first bad cell (None for a scalar identity) and ``lhs``/``rhs`` print
+    its two sides.
+    """
 
     ok: bool
     n: int | None = None
@@ -293,17 +297,36 @@ class CheckReport:
         return self.ok
 
     @staticmethod
-    def passed(n=None, note="") -> "CheckReport":
-        return CheckReport(True, n=n, note=note)
-
-    @staticmethod
     def of_matrices(lhs: Matrix, rhs: Matrix, n=None, note="") -> "CheckReport":
-        miss = lhs.first_mismatch(rhs)
-        if miss is None:
-            return CheckReport(True, n=n, note=note)
-        i, j, lv, rv = miss
-        return CheckReport(False, n=n, location=(i, j),
-                           lhs=str(lv), rhs=str(rv), note=note)
+        """lhs = rhs cell by cell; two shapes that differ fail at no cell."""
+        if lhs.shape != rhs.shape:
+            return check_cells([(note, [(None, lhs.shape, rhs.shape)])], n=n)
+        return check_cells([(note, lhs.cells(rhs))], n=n, ring=lhs.ring)
+
+
+def check_cells(checks, n=None, ring: Ring = ZZ) -> CheckReport:
+    """The first mismatching cell of named identity checks, in scan order.
+
+    ``checks`` yields (name, cells) pairs and each ``cells`` yields
+    (location, lhs, rhs): an index tuple such as (i, j) for a matrix or (i,)
+    for a vector, or None for a scalar identity.  Cells compare with
+    ``ring.eq``, so complex floats keep their tolerance, and the report
+    prints a mismatch with ``ring.fmt`` under the name of its check.  The
+    default ring's ``==`` and ``str`` suit any exact value.
+    """
+    eq, fmt = ring.eq, ring.fmt
+    for name, cells in checks:
+        for location, lhs, rhs in cells:
+            # exact equality implies equality in every ring
+            if lhs != rhs and not eq(lhs, rhs):
+                return CheckReport(False, n=n, location=location,
+                                   lhs=fmt(lhs), rhs=fmt(rhs), note=name)
+    return CheckReport(True, n=n)
+
+
+def vector_cells(lhs, rhs):
+    """((i,), lhs[i], rhs[i]) for two sequences of one length."""
+    return zip(product(range(len(lhs))), lhs, rhs, strict=True)
 
 
 @dataclass
@@ -318,19 +341,19 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, report: CheckReport, n=None, where=""):
-        if not report.ok:
-            self.failures.append({
-                "n": report.n if report.n is not None else n,
-                "location": where or (list(report.location)
-                                      if report.location else None),
-                "lhs": report.lhs,
-                "rhs": report.rhs,
-            })
-
-    def fail(self, n, where, lhs="", rhs=""):
-        self.failures.append(
-            {"n": n, "location": where, "lhs": str(lhs), "rhs": str(rhs)})
+    def record(self, report: CheckReport):
+        """Keep a failed report, the first of each check and order."""
+        if report.ok or any(f["check"] == report.note and f["n"] == report.n
+                            for f in self.failures):
+            return
+        self.failures.append({
+            "n": report.n,
+            "check": report.note,
+            "location": (None if report.location is None
+                         else list(report.location)),
+            "lhs": report.lhs,
+            "rhs": report.rhs,
+        })
 
     def to_dict(self):
         return {"suite": self.suite, "n_max": self.n_max,

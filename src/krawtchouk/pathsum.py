@@ -119,15 +119,14 @@ def path_sum(n: int, p: int, q: int, alpha=1, beta=-1):
     return PathEnsemble(n, p, q, alpha, beta).total_weight()
 
 
-def oracle_matrix(n: int, alpha=1, beta=-1, bound: int | None = None) -> Matrix:
+def oracle_matrix(n: int, alpha=1, beta=-1) -> Matrix:
     """Full (n+1) x (n+1) matrix of path sums by one sweep over all 2^n words.
 
     Each word contributes its prefix-product weight to every column at once,
     so the sweep costs O(2^n * n) ring operations.
     """
     ring = ring_of(alpha)
-    if bound is None:
-        bound = ENUM_BOUND_SYMBOLIC if ring.name == "poly2" else ENUM_BOUND_NUMERIC
+    bound = ENUM_BOUND_SYMBOLIC if ring.name == "poly2" else ENUM_BOUND_NUMERIC
     if n > bound:
         raise ValueError(
             f"order {n} exceeds the 2^n enumeration bound {bound}")

@@ -19,10 +19,11 @@ be 2^q (i.e. D_{n-q,q} = 2^q); the n = 3 instance is skewdiag(8, 4, 2, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from .core import KrawtchoukMatrix, k_reference
-from .matrix import CheckReport, Matrix
+from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ROOT2, RootTwo, ZZ, sqrt2_power
 
 
@@ -56,17 +57,16 @@ def b_inverse(n: int) -> Matrix:
 
 def binomial_transform_check(n: int) -> CheckReport:
     """K b^(k) = 2^k b^(n-k) for every k, plus the collective K B = B D."""
-    k = k_reference(n)
+    return check_cells(_transform_cells(n, k_reference(n), binomial_matrix(n)),
+                       n=n)
+
+
+def _transform_cells(n: int, k: Matrix, b: Matrix):
     for j in range(n + 1):
-        got = k.mul_vector(binomial_vector(n, j))
-        want = [2 ** j * x for x in binomial_vector(n, n - j)]
-        if got != want:
-            return CheckReport(False, n=n, location=(j,),
-                               lhs=str(got), rhs=str(want),
-                               note=f"K b^({j}) = 2^{j} b^({n - j})")
-    b = binomial_matrix(n)
-    return CheckReport.of_matrices(k @ b, b @ skew_power_matrix(n),
-                                   n=n, note="K B = B D")
+        yield (f"K b^({j}) = 2^{j} b^({n - j})",
+               vector_cells(k.mul_vector(binomial_vector(n, j)),
+                            [2 ** j * x for x in binomial_vector(n, n - j)]))
+    yield "K B = B D", (k @ b).cells(b @ skew_power_matrix(n))
 
 
 def k_from_BDBinv(n: int):
@@ -98,6 +98,16 @@ def eigen_factors(n: int) -> EigenFactor:
     written once, matching the fact that the odd combination of the two
     central binomial vectors vanishes.
     """
+    xm, e = _eigen_matrices(n)
+    bx = binomial_matrix(n).map(RootTwo, ROOT2) @ xm
+    k = k_reference(n).map(RootTwo, ROOT2)
+    if k @ bx != bx @ e:
+        raise AssertionError(f"K (B X) != (B X) E at order {n}")
+    return EigenFactor(n, xm, e)
+
+
+def _eigen_matrices(n: int):
+    """X and E as :func:`eigen_factors` describes them, unchecked."""
     if n < 0:
         raise ValueError("order must be non-negative")
     zero = RootTwo(0)
@@ -107,15 +117,9 @@ def eigen_factors(n: int) -> EigenFactor:
         x[j][j] = diag if 2 * j <= n else -diag
         if j != n - j:
             x[n - j][j] = sqrt2_power(j)
-    xm = Matrix(ROOT2, x)
     lam = sqrt2_power(n)
     e = Matrix.diag([lam if 2 * j <= n else -lam for j in range(n + 1)], ROOT2)
-
-    bx = binomial_matrix(n).map(RootTwo, ROOT2) @ xm
-    k = k_reference(n).map(RootTwo, ROOT2)
-    if k @ bx != bx @ e:
-        raise AssertionError(f"K (B X) != (B X) E at order {n}")
-    return EigenFactor(n, xm, e)
+    return Matrix(ROOT2, x), e
 
 
 def eigenvector(n: int, k: int, sign: str) -> list:
@@ -150,14 +154,16 @@ def eigenvector(n: int, k: int, sign: str) -> list:
 
 def spectral_suite_check(n: int) -> CheckReport:
     """Everything above at once, plus E^2 = 2^n I; used by the CLI."""
-    report = binomial_transform_check(n)
+    k, b = k_reference(n), binomial_matrix(n)
+    bdb = b @ skew_power_matrix(n) @ b_inverse(n)
+    report = check_cells(chain(_transform_cells(n, k, b),
+                               [("B D B^-1 = K", bdb.cells(k))]), n=n)
     if not report.ok:
         return report
-    try:
-        k_from_BDBinv(n)
-        factors = eigen_factors(n)
-    except AssertionError as exc:
-        return CheckReport(False, n=n, note=str(exc))
-    e2 = factors.e @ factors.e
+    x, e = _eigen_matrices(n)
+    bx = b.map(RootTwo, ROOT2) @ x
     target = Matrix.identity(n + 1, ROOT2).scale(RootTwo(2 ** n))
-    return CheckReport.of_matrices(e2, target, n=n, note="E^2 = 2^n I")
+    return check_cells([
+        ("K (B X) = (B X) E", (k.map(RootTwo, ROOT2) @ bx).cells(bx @ e)),
+        ("E^2 = 2^n I", (e @ e).cells(target)),
+    ], n=n, ring=ROOT2)

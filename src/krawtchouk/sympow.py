@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import k_reference, kac_matrix, lambda_matrix
-from .matrix import CheckReport, Matrix
+from .matrix import CheckReport, Matrix, check_cells
 from .rings import Poly2, POLY2, ring_of
 
 # A 2^n x 2^n power holds 4^n entries.  kron_power traced ~19 bytes per
@@ -214,29 +214,17 @@ def lrn_relations_check(n: int) -> CheckReport:
     def bracket(x, y):
         return x @ y - y @ x
 
-    checks = [
-        (bracket(lm, rm), nm, "[L,R] = N (plain bracket)"),
-        (bracket(nm, lm), lm.scale(2), "[N,L] = 2L (plain bracket)"),
-        (bracket(nm, rm), rm.scale(-2), "[N,R] = -2R (plain bracket)"),
-    ]
-    for lhs, rhs, note in checks:
-        report = CheckReport.of_matrices(lhs, rhs, n=n, note=note)
-        if not report.ok:
-            return report
-
     raising, lowering = ladder_factors(n)
-    for q in range(n):
-        if rm[q + 1, q] != raising[q]:
-            return CheckReport(False, n=n, location=(q + 1, q),
-                               lhs=str(rm[q + 1, q]), rhs=str(raising[q]),
-                               note="raising ladder factor")
-        if lm[q, q + 1] != lowering[q]:
-            return CheckReport(False, n=n, location=(q, q + 1),
-                               lhs=str(lm[q, q + 1]), rhs=str(lowering[q]),
-                               note="lowering ladder factor")
-    if nm != lambda_matrix(n):
-        return CheckReport(False, n=n, note="N eigenvalues != n-2q")
-    return CheckReport.passed(n=n, note="ladder relations")
+    return check_cells([
+        ("[L,R] = N (plain bracket)", bracket(lm, rm).cells(nm)),
+        ("[N,L] = 2L (plain bracket)", bracket(nm, lm).cells(lm.scale(2))),
+        ("[N,R] = -2R (plain bracket)", bracket(nm, rm).cells(rm.scale(-2))),
+        ("raising ladder factor",
+         (((q + 1, q), rm[q + 1, q], raising[q]) for q in range(n))),
+        ("lowering ladder factor",
+         (((q, q + 1), lm[q, q + 1], lowering[q]) for q in range(n))),
+        ("N eigenvalues = n-2q", nm.cells(lambda_matrix(n))),
+    ], n=n)
 
 
 def symmetry_check(n: int) -> CheckReport:
@@ -246,12 +234,10 @@ def symmetry_check(n: int) -> CheckReport:
     k = k_reference(n)
     f_pow = sym_group_power(MAT_F, n)
     g_pow = sym_group_power(MAT_G, n)
-    report = CheckReport.of_matrices(f_pow @ k, k @ g_pow, n=n,
-                                     note="F^on K = K G^on")
-    if not report.ok:
-        return report
-    return CheckReport.of_matrices(g_pow @ k, k @ f_pow, n=n,
-                                   note="G^on K = K F^on")
+    return check_cells([
+        ("F^on K = K G^on", (f_pow @ k).cells(k @ g_pow)),
+        ("G^on K = K F^on", (g_pow @ k).cells(k @ f_pow)),
+    ], n=n)
 
 
 def master_from_tensor_check(n: int) -> CheckReport:
@@ -264,17 +250,12 @@ def master_from_tensor_check(n: int) -> CheckReport:
     f_alg = sym_algebra_power(MAT_F, n)
     g_alg = sym_algebra_power(MAT_G, n)
     h_grp = sym_group_power(MAT_H, n)
-    report = CheckReport.of_matrices(f_alg @ h_grp, h_grp @ g_alg, n=n,
-                                     note="F^alg H^grp = H^grp G^alg")
-    if not report.ok:
-        return report
-    if f_alg != kac_matrix(n):
-        return CheckReport(False, n=n, note="F^alg != Kac matrix")
-    if g_alg != lambda_matrix(n):
-        return CheckReport(False, n=n, note="G^alg != Lambda")
-    if h_grp != k_reference(n):
-        return CheckReport(False, n=n, note="H^grp != K")
-    return CheckReport.passed(n=n, note="master equation from tensor powers")
+    return check_cells([
+        ("F^alg H^grp = H^grp G^alg", (f_alg @ h_grp).cells(h_grp @ g_alg)),
+        ("F^alg = Kac matrix", f_alg.cells(kac_matrix(n))),
+        ("G^alg = Lambda", g_alg.cells(lambda_matrix(n))),
+        ("H^grp = K", h_grp.cells(k_reference(n))),
+    ], n=n)
 
 
 def skew_factorization_check(n: int) -> CheckReport:
@@ -288,19 +269,15 @@ def skew_factorization_check(n: int) -> CheckReport:
 
     u = Matrix.from_rows([[1, 1], [0, 1]])
     d1 = Matrix.from_rows([[0, 2], [1, 0]])
-    if MAT_H @ u != u @ d1:
-        return CheckReport(False, n=n, note="2x2 seed identity H U = U D1")
     b_pow = sym_group_power(u, n)
     d_pow = sym_group_power(d1, n)
-    if b_pow != binomial_matrix(n):
-        return CheckReport.of_matrices(b_pow, binomial_matrix(n), n=n,
-                                       note="U^on = B")
-    if d_pow != skew_power_matrix(n):
-        return CheckReport.of_matrices(d_pow, skew_power_matrix(n), n=n,
-                                       note="D1^on = D")
-    k = k_reference(n)
-    return CheckReport.of_matrices(k @ b_pow, b_pow @ d_pow, n=n,
-                                   note="K B = B D from tensor powers")
+    return check_cells([
+        ("2x2 seed identity H U = U D1", (MAT_H @ u).cells(u @ d1)),
+        ("U^on = B", b_pow.cells(binomial_matrix(n))),
+        ("D1^on = D", d_pow.cells(skew_power_matrix(n))),
+        ("K B = B D from tensor powers",
+         (k_reference(n) @ b_pow).cells(b_pow @ d_pow)),
+    ], n=n)
 
 
 def kron_remark_check(n: int) -> CheckReport:
@@ -312,9 +289,9 @@ def kron_remark_check(n: int) -> CheckReport:
     h_kron = kron_power(MAT_H, n)
     f_box = box_power(MAT_F, n)
     g_box = box_power(MAT_G, n)
-    report = CheckReport.of_matrices(g_box @ h_kron, h_kron @ f_box, n=n,
-                                     note="G^box H^kron = H^kron F^box")
-    if not report.ok:
-        return report
-    return CheckReport.of_matrices(f_box @ h_kron, h_kron @ g_box, n=n,
-                                   note="F^box H^kron = H^kron G^box")
+    return check_cells([
+        ("G^box H^kron = H^kron F^box",
+         (g_box @ h_kron).cells(h_kron @ f_box)),
+        ("F^box H^kron = H^kron G^box",
+         (f_box @ h_kron).cells(h_kron @ g_box)),
+    ], n=n)

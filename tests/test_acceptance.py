@@ -14,11 +14,13 @@ flips the pair, and it fixes N.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from krawtchouk import (
     core,
@@ -30,7 +32,7 @@ from krawtchouk import (
     spectral,
     sympow,
 )
-from krawtchouk.matrix import Matrix
+from krawtchouk.matrix import CheckReport, Matrix
 from krawtchouk.rings import GAUSS, QQ, ROOT2, RootTwo, ZZ, sqrt2_power
 
 from tables import KRAWTCHOUK, PHASE_I, SYMMETRIC
@@ -214,13 +216,13 @@ def test_criterion_08_quaternion_suite():
                              (l, l_mat, "L"), (img_r, img_r_mat, "(G-i)/2"),
                              (img_l, img_l_mat, "(G+i)/2")):
         got = qt.to_matrix2(q)
-        crit.check(got == literal, f"to_matrix2({name}) (first mismatch "
-                                   f"{got.first_mismatch(literal)})")
+        miss = CheckReport.of_matrices(got, literal)
+        crit.check(got == literal, f"to_matrix2({name}) ({miss})")
     for name, v_mat, img_mat in (("R", r_mat, img_r_mat),
                                  ("L", l_mat, img_l_mat)):
         lhs, rhs = h_mat @ v_mat, img_mat @ h_mat
         crit.check(lhs == rhs, f"2x2 H {name} = Ad({name}) H "
-                               f"(first mismatch {lhs.first_mismatch(rhs)})")
+                               f"({CheckReport.of_matrices(lhs, rhs)})")
 
     # conjugation by N = i is what flips the pair, and it fixes N
     image("N L N^-1 = -R", i, l, -r)
@@ -290,10 +292,12 @@ def test_criterion_11_transform_behaviors():
 
 def test_criterion_12_end_to_end_cli(tmp_path):
     crit = Criterion(12, "end-to-end CLI", 60.0)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "krawtchouk.cli", "verify",
          "--suites", "all", "--n-max", "6"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     crit.check(proc.returncode == 0, f"verify exit {proc.returncode}")
     reports = json.loads(proc.stdout)
     for report in reports:
@@ -311,7 +315,7 @@ def test_criterion_12_end_to_end_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "krawtchouk.cli", "snake", "--n", "5",
          "--phi", "pi/2", "--out", str(outdir)],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     crit.check(proc.returncode == 0, "snake exit code")
     csvs = sorted(outdir.glob("*.csv"))
     crit.check(len(csvs) == 5, f"{len(csvs)} CSV columns, wanted 5")

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from krawtchouk import cli, core, hadamard, pathsum, spectral, sympow
+from krawtchouk import cli, core, hadamard, pathsum, spectral, sympow, verify
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import ZZ
 
@@ -174,16 +174,20 @@ def test_master_check_reports_failure_location():
 
 @pytest.fixture
 def corrupted_reference(monkeypatch):
-    """k_reference with K[2, 1] off by one."""
+    """k_reference with K[2, 1] off by one (orders >= 2), in every module."""
     real = core.k_reference
     real.cache_clear()
 
     def corrupted(n):
+        if n < 2:
+            return real(n)
         rows = [list(row) for row in real(n).data]
         rows[2][1] += 1
         return Matrix(ZZ, rows)
 
-    monkeypatch.setattr(core, "k_reference", corrupted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("krawtchouk") and hasattr(module, "k_reference"):
+            monkeypatch.setattr(module, "k_reference", corrupted)
     yield
     real.cache_clear()
 
@@ -199,6 +203,27 @@ def test_checks_fail_on_a_corrupted_reference(corrupted_reference):
     report = core.ortho_check(4)      # (G K^T)[1,2] = C(4,1) * 1
     assert not report.ok and report.note == "G K^T = K G"
     assert (report.location, report.lhs, report.rhs) == ((1, 2), "4", "0")
+
+
+def test_suite_failures_name_check_cell_and_sides(corrupted_reference):
+    reports = verify.run_suites(["all"], n_max=4)
+    assert {r.suite for r in reports if not r.ok} == {
+        "construction-equivalence", "involution", "macwilliams", "master",
+        "ortho", "pyramid", "spectral", "sympow"}
+    for report in reports:
+        keys = [(f["check"], f["n"]) for f in report.failures]
+        assert len(keys) == len(set(keys)), report.suite
+        for failure in report.failures:
+            assert set(failure) == {"n", "check", "location", "lhs", "rhs"}
+            assert isinstance(failure["check"], str) and failure["check"]
+            location = failure["location"]
+            assert isinstance(location, list) and location
+            assert all(type(i) is int for i in location)
+            assert failure["lhs"] and failure["rhs"]
+            assert failure["lhs"] != failure["rhs"]
+    ortho = next(r for r in reports if r.suite == "ortho")
+    assert ortho.failures[-1] == {"n": 4, "check": "G K^T = K G",
+                                  "location": [1, 2], "lhs": "4", "rhs": "0"}
 
 
 def test_constructions_never_read_the_reference(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from krawtchouk.matrix import Matrix
+from krawtchouk.matrix import CheckReport, Matrix, check_cells, vector_cells
 from krawtchouk.rings import (CC, GAUSS, Gaussian, POLY2, Poly2, QQ, ROOT2,
                               RootTwo, ZZ)
 
@@ -55,6 +55,63 @@ def test_shape_and_ring_errors():
         Matrix(ZZ, [[1]]) @ q
     with pytest.raises(ValueError, match="ragged"):
         Matrix(ZZ, [[1, 2], [3]])
+
+
+def test_shape_mismatch_reports_no_cell():
+    a = Matrix(ZZ, [[1, 2], [3, 4]])
+    b = Matrix(ZZ, [[1, 2, 0], [3, 4, 0]])
+    report = CheckReport.of_matrices(a, b, n=2, note="A = B")
+    assert not report.ok and report.location is None
+    assert (report.lhs, report.rhs) == ("(2, 2)", "(2, 3)")
+    assert report.note == "A = B"
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a.cells(b)
+    with pytest.raises(ValueError):
+        list(vector_cells([1, 2], [1, 2, 3]))
+
+
+def test_check_cells_finds_the_first_mismatch_in_scan_order():
+    rng = random.Random(20261018)
+    a = rand_matrix(rng, 4, 5)
+    vec = [rng.randint(-9, 9) for _ in range(6)]
+    rows = [list(row) for row in a.data]
+    rows[3][2] += 1
+    rows[3][4] -= 1
+    b = Matrix(ZZ, rows)
+    off = [vec[0] + 1] + vec[1:]
+    # the late cell of the first check wins over the early one of the second
+    report = check_cells([("A = B", a.cells(b)),
+                          ("v = w", vector_cells(vec, off))], n=7)
+    assert not report.ok
+    assert (report.note, report.n, report.location) == ("A = B", 7, (3, 2))
+    assert (report.lhs, report.rhs) == (str(a[3, 2]), str(a[3, 2] + 1))
+    report = check_cells([("A = A", a.cells(a)),
+                          ("v = w", vector_cells(vec, off))])
+    assert (report.note, report.location) == ("v = w", (0,))
+    assert (report.lhs, report.rhs) == (str(vec[0]), str(vec[0] + 1))
+    report = check_cells([("A = A", a.cells(a)),
+                          ("v = v", vector_cells(vec, vec))], n=7)
+    assert report.ok and report.n == 7 and report.location is None
+
+
+def test_check_cells_keeps_the_complex_tolerance():
+    a = Matrix(CC, [[1 + 2j, 0.5j], [-3 + 0j, 1e6 + 0j]])
+    near = a.map(lambda z: z + 1e-12)
+    assert check_cells([("near", a.cells(near))], ring=CC).ok
+    assert CheckReport.of_matrices(a, near).ok
+    report = CheckReport.of_matrices(a, a.map(lambda z: z + 1e-6j))
+    assert not report.ok and report.location == (0, 0)
+    assert (report.lhs, report.rhs) == (CC.fmt(1 + 2j), CC.fmt(1 + 2.000001j))
+    assert report.lhs == "1.0+2.0i"
+
+
+def test_check_cells_prints_with_the_ring():
+    a, b = Poly2.gen_a(), Poly2.gen_b()
+    lhs, rhs = a * a + b * 3, (a + b) * a
+    report = check_cells([("poly", [(None, lhs, rhs)])], n=2, ring=POLY2)
+    assert not report.ok and report.location is None
+    assert (report.lhs, report.rhs) == (POLY2.fmt(lhs), POLY2.fmt(rhs))
+    assert report.lhs == "a^2+3b"
 
 
 def test_kron_basics():

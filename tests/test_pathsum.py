@@ -72,6 +72,8 @@ def test_oracle_numeric_upper_bound_order():
         pathsum.oracle_matrix(17, 1, -1)
     with pytest.raises(ValueError, match="enumeration bound"):
         pathsum.oracle_matrix(13, ALPHA, BETA)
+    with pytest.raises(TypeError):  # the refusal cannot be lifted
+        pathsum.oracle_matrix(17, 1, -1, bound=17)
 
 
 def test_oracle_phase_case():
