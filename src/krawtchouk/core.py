@@ -13,6 +13,10 @@ checks for the identities that tie them together, all over the integers:
     K Gamma K^T = 2^n Gamma
     K^T D K = 2^n D,  D = lcm(C(n,i)) Gamma^-1  (K^T Gamma^-1 K = 2^n Gamma^-1)
 
+The generating-function route is one O(n^2) sweep: each column is the one
+before it times (1-t)/(1+t), and the division by 1+t is exact and asserted
+so.
+
 The checks, here and in the other modules, compare against one memoised
 reference, :func:`k_reference`; the constructions never read it, so each
 stays an independent route to K.  Every check reports through
@@ -31,6 +35,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, lcm
 
 from .matrix import CheckReport, Matrix, check_cells
@@ -85,13 +90,32 @@ def genfunc_column(n: int, q: int) -> list:
     return coeffs
 
 
+def _next_genfunc_column(column: list) -> list:
+    """Multiply a column's generating function by (1-t)/(1+t).
+
+    The ascending synthetic division c_i = a_i - c_(i-1) divides by 1+t;
+    its last value is the remainder, which must vanish.  Multiplying the
+    quotient by 1-t then gives d_i = c_i - c_(i-1).
+    """
+    quotient = list(accumulate(column, lambda prev, a: a - prev))
+    if quotient[-1]:
+        raise AssertionError("1+t does not divide the column exactly")
+    return list(map(operator.sub, quotient, [0] + quotient[:-1]))
+
+
 def k_genfunc(n: int) -> KrawtchoukMatrix:
-    """Krawtchouk matrix by expanding the column generating functions."""
+    """Krawtchouk matrix by expanding the column generating functions.
+
+    Column 0 is (1+t)^n; column q+1 is column q times (1-t)/(1+t), an
+    exact division and one multiplication, O(n) each, so the whole matrix
+    costs O(n^2) operations.
+    """
     if n < 0:
         raise ValueError("order must be non-negative")
-    cols = [genfunc_column(n, q) for q in range(n + 1)]
-    rows = [[cols[q][p] for q in range(n + 1)] for p in range(n + 1)]
-    return KrawtchoukMatrix(n, Matrix(ZZ, rows), "GenFunc")
+    cols = [genfunc_column(n, 0)]
+    for _ in range(n):
+        cols.append(_next_genfunc_column(cols[-1]))
+    return KrawtchoukMatrix(n, Matrix(ZZ, zip(*cols)), "GenFunc")
 
 
 @lru_cache(maxsize=64)

@@ -125,18 +125,12 @@ def k_pyramid(n: int) -> KrawtchoukMatrix:
     if n < 0:
         raise ValueError("order must be non-negative")
     cols = [[1]]
-    for m in range(n):
+    for _ in range(n):
         first = cols[0]
-        grown = [[(first[i - 1] if i > 0 else 0)
-                  + (first[i] if i <= m else 0) for i in range(m + 2)]]
-        for q in range(m + 1):
-            prev = cols[q]
-            grown.append([(prev[i] if i <= m else 0)
-                          - (prev[i - 1] if i > 0 else 0)
-                          for i in range(m + 2)])
+        grown = [list(map(add, [0] + first, first + [0]))]
+        grown += [list(map(sub, prev + [0], [0] + prev)) for prev in cols]
         cols = grown
-    rows = [[cols[q][p] for q in range(n + 1)] for p in range(n + 1)]
-    return KrawtchoukMatrix(n, Matrix(ZZ, rows), "PyramidRecurrence")
+    return KrawtchoukMatrix(n, Matrix(ZZ, zip(*cols)), "PyramidRecurrence")
 
 
 def pyramid_cross_check(n_max: int) -> CheckReport:

@@ -274,20 +274,24 @@ def isotropic_basis():
     return r, l, I_S
 
 
-def jhhk_check():
-    """FH = HG with both sides equal to 1 - i, plus the 2x2 matrix image.
+def jhhk_images():
+    """The 2x2 images of F H, H G and 1 - i, all three equal.
 
     The matrix image of FH = HG is the order-1 master equation: the Kac
     matrix times Hadamard equals Hadamard times diag(1, -1).
     """
+    return (to_matrix2(F) @ to_matrix2(H), to_matrix2(H) @ to_matrix2(G),
+            to_matrix2(split(1, -1)))
+
+
+def jhhk_check():
+    """FH = HG with both sides equal to 1 - i, plus the 2x2 matrix image."""
     fh = F * H
     hg = H * G
-    target = split(1, -1)
-    if fh != hg or fh != target:
+    if fh != hg or fh != split(1, -1):
         return False, fh, hg
-    lhs = to_matrix2(F) @ to_matrix2(H)
-    rhs = to_matrix2(H) @ to_matrix2(G)
-    return lhs == rhs == to_matrix2(target), fh, hg
+    lhs, rhs, target = jhhk_images()
+    return lhs == rhs == target, fh, hg
 
 
 def hadamard_conjugation():

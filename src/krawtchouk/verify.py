@@ -18,6 +18,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from . import core, gf2, generalized, hadamard, pathsum, quaternion, spectral, sympow
@@ -117,7 +118,8 @@ def _suite_trace(n_max: int, seed: int) -> SuiteReport:
 
 def _suite_quaternion(n_max: int, seed: int) -> SuiteReport:
     report = SuiteReport("quaternion", n_max)
-    ok, fh, hg = quaternion.jhhk_check()
+    _, fh, hg = quaternion.jhhk_check()
+    fh_image, hg_image, target_image = quaternion.jhhk_images()
     images = quaternion.hadamard_conjugation()
     r, l, n_iso = quaternion.isotropic_basis()
     half = Fraction(1, 2)
@@ -130,7 +132,9 @@ def _suite_quaternion(n_max: int, seed: int) -> SuiteReport:
     report.record(check_cells(
         [("FH = HG = 1 - i", [(None, fh, hg),
                               (None, hg, quaternion.split(1, -1))]),
-         ("FH = HG in 2x2 matrices", [(None, ok, True)])]
+         ("FH = HG in 2x2 matrices",
+          chain(fh_image.cells(hg_image),
+                hg_image.cells(target_image)))]
         + [(f"H {name} H^-1", [(None, images[name], want)])
            for name, want in expected.items()]
         + [(f"null vector {name}", [(None, vec.norm2(), 0)])

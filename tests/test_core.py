@@ -6,7 +6,8 @@ from math import comb
 
 import pytest
 
-from krawtchouk import cli, core, hadamard, pathsum, spectral, sympow, verify
+from krawtchouk import (cli, core, hadamard, pathsum, quaternion, spectral,
+                        sympow, verify)
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import ZZ
 
@@ -21,6 +22,25 @@ def test_genfunc_reproduces_published_tables(n):
 @pytest.mark.parametrize("n", range(15))
 def test_genfunc_equals_binsum(n):
     assert core.k_genfunc(n) == core.k_binsum(n)
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_genfunc_columns_are_the_single_column_expansions(n):
+    table = core.k_genfunc(n).mat
+    assert [table.col(q) for q in range(n + 1)] == [
+        core.genfunc_column(n, q) for q in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [96, 192])
+def test_genfunc_equals_binsum_at_high_order(n):
+    assert core.k_genfunc(n) == core.k_binsum(n)
+
+
+def test_genfunc_sweep_asserts_exact_division():
+    # (1+t)(1-t) = 1 - t^2 steps to (1-t)^2 = 1 - 2t + t^2
+    assert core._next_genfunc_column([1, 0, -1]) == [1, -2, 1]
+    with pytest.raises(AssertionError, match="divide"):
+        core._next_genfunc_column([1, 2])   # 1 + 2t leaves remainder 1
 
 
 def test_single_entries():
@@ -224,6 +244,33 @@ def test_suite_failures_name_check_cell_and_sides(corrupted_reference):
     ortho = next(r for r in reports if r.suite == "ortho")
     assert ortho.failures[-1] == {"n": 4, "check": "G K^T = K G",
                                   "location": [1, 2], "lhs": "4", "rhs": "0"}
+
+
+def test_binomial_transform_failure_names_a_cell_of_k_b(corrupted_reference):
+    # column 1 of K B is K b^(1); row 2 reads K[2,0] + K[2,1] = 6 + 1
+    report = spectral.binomial_transform_check(4)
+    assert not report.ok and report.note == "K B = B D"
+    assert (report.location, report.lhs, report.rhs) == ((2, 1), "7", "6")
+
+
+def test_quaternion_suite_names_the_cell_of_the_2x2_image(monkeypatch):
+    real = quaternion.to_matrix2
+
+    def corrupted(q):
+        image = real(q)
+        if q != quaternion.G:
+            return image
+        rows = [list(row) for row in image.data]
+        rows[1][1] += 1                    # G -> [[1, 0], [0, 0]]
+        return Matrix(image.ring, rows)
+
+    monkeypatch.setattr(quaternion, "to_matrix2", corrupted)
+    report, = verify.run_suites(["quaternion"], n_max=1)
+    failure = next(f for f in report.failures
+                   if f["check"] == "FH = HG in 2x2 matrices")
+    # F H = [[1, -1], [1, 1]] against H G = [[1, 0], [1, 0]]
+    assert failure == {"n": None, "check": "FH = HG in 2x2 matrices",
+                       "location": [0, 1], "lhs": "-1", "rhs": "0"}
 
 
 def test_constructions_never_read_the_reference(monkeypatch, capsys):
