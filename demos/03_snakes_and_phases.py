@@ -22,11 +22,11 @@ print(k_phase(3, math.pi).pretty())
 print()
 
 print("Column 3 of the order-3 matrix as points in the plane:")
-for x, y in snake_coordinates(3, math.pi / 2, 3):
+for x, y in snake_coordinates(k_phase(3, math.pi / 2), 3):
     print(f"  ({x}, {y})")
 
 out = Path("snake_n7.svg")
-out.write_text(snake_svg(7, math.pi / 2))
+out.write_text(snake_svg(k_phase(7, math.pi / 2)))
 print(f"\nwrote {out.resolve()}")
 
 # a generic phase drops to complex floats but keeps the same skeleton

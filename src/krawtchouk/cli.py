@@ -40,49 +40,39 @@ def emit_matrix(mat: Matrix, fmt: str) -> str:
         return mat.pretty()
     if fmt == "json":
         return mat.to_json()
-    if fmt == "csv":
-        return mat.to_csv().rstrip("\n")
-    raise ValueError(f"format {fmt!r} not available here")
+    return mat.to_csv().rstrip("\n")
 
 
 def cmd_gen(args) -> int:
     n = args.n
     if n < 0:
-        print("order must be non-negative", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("order must be non-negative")
     if n > DEFAULT_ORDER_BOUND:
         print(f"warning: order {n} beyond {DEFAULT_ORDER_BOUND}; "
               "output will be large", file=sys.stderr)
-    try:
-        if args.kind == "krawtchouk":
-            mat = core.k_genfunc(n).mat
-        elif args.kind == "symmetric":
-            mat = core.k_symmetric(n)
-        elif args.kind == "kac":
-            mat = core.kac_matrix(n)
-        elif args.kind == "lambda":
-            mat = core.lambda_matrix(n)
-        elif args.kind == "binomial":
-            mat = spectral.binomial_matrix(n)
-        elif args.kind == "sylvester":
-            sympow.require_kron_order(n)  # before anything is allocated
-            mat = sympow.kron_power(sympow.MAT_H, n)
-        elif args.kind == "general":
-            if args.alpha is None and args.beta is None:
-                mat = generalized.k_general_symbolic(n)
-            else:
-                alpha = int(args.alpha if args.alpha is not None else 1)
-                beta = int(args.beta if args.beta is not None else -1)
-                mat = generalized.k_general(n, alpha, beta)
-        elif args.kind == "phase":
-            mat = generalized.k_phase(n, parse_phi(args.phi))
+    if args.kind == "krawtchouk":
+        mat = core.k_genfunc(n).mat
+    elif args.kind == "symmetric":
+        mat = core.k_symmetric(n)
+    elif args.kind == "kac":
+        mat = core.kac_matrix(n)
+    elif args.kind == "lambda":
+        mat = core.lambda_matrix(n)
+    elif args.kind == "binomial":
+        mat = spectral.binomial_matrix(n)
+    elif args.kind == "sylvester":
+        sympow.require_kron_order(n)  # before anything is allocated
+        mat = sympow.kron_power(sympow.MAT_H, n)
+    elif args.kind == "general":
+        if args.alpha is None and args.beta is None:
+            mat = generalized.k_general_symbolic(n)
         else:
-            print(f"unknown matrix kind {args.kind!r}", file=sys.stderr)
-            return USAGE_ERROR
-        print(emit_matrix(mat, args.format))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+            alpha = int(args.alpha if args.alpha is not None else 1)
+            beta = int(args.beta if args.beta is not None else -1)
+            mat = generalized.k_general(n, alpha, beta)
+    else:  # phase
+        mat = generalized.k_phase(n, parse_phi(args.phi))
+    print(emit_matrix(mat, args.format))
     return 0
 
 
@@ -105,13 +95,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pathsum(args) -> int:
-    try:
-        value = pathsum.path_sum(args.n, args.p, args.q,
-                                 args.alpha, args.beta)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
-    print(value)
+    print(pathsum.path_sum(args.n, args.p, args.q, args.alpha, args.beta))
     return 0
 
 
@@ -120,53 +104,38 @@ def _parse_vector(text: str):
 
 
 def cmd_transform(args) -> int:
-    try:
-        if args.covector is not None:
-            vec = _parse_vector(args.covector)
-            out = core.covector_transform(args.n, vec)
-        elif args.vector is not None:
-            vec = _parse_vector(args.vector)
-            out = core.k_genfunc(args.n).mat.mul_vector(vec)
-        else:
-            print("need --covector or --vector", file=sys.stderr)
-            return USAGE_ERROR
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+    if args.covector is not None:
+        out = core.covector_transform(args.n, _parse_vector(args.covector))
+    elif args.vector is not None:
+        out = core.k_genfunc(args.n).mat.mul_vector(_parse_vector(args.vector))
+    else:
+        raise ValueError("need --covector or --vector")
     print(",".join(str(x) for x in out))
     return 0
 
 
 def cmd_snake(args) -> int:
-    try:
-        phi = parse_phi(args.phi)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        columns = list(range(1, args.n + 1))
-        written = []
-        for q in columns:
-            path = outdir / f"snake_n{args.n}_col{q}.csv"
-            path.write_text(generalized.snake_csv(args.n, phi, q))
-            written.append(path)
-        svg_path = outdir / f"snake_n{args.n}.svg"
-        svg_path.write_text(generalized.snake_svg(args.n, phi, columns))
-        written.append(svg_path)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+    k = generalized.k_phase(args.n, parse_phi(args.phi))
+    svg = generalized.snake_svg(k)  # refuses order 0 before any file exists
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for q in range(1, args.n + 1):
+        path = outdir / f"snake_n{args.n}_col{q}.csv"
+        path.write_text(generalized.snake_csv(k, q))
+        written.append(path)
+    svg_path = outdir / f"snake_n{args.n}.svg"
+    svg_path.write_text(svg)
+    written.append(svg_path)
     for path in written:
         print(path)
     return 0
 
 
 def cmd_macwilliams(args) -> int:
-    try:
-        vectors = [s.strip() for s in args.basis.split(",") if s.strip()]
-        space = gf2.subspace_from(vectors, args.n)
-        report = gf2.macwilliams_check(space)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+    vectors = [s.strip() for s in args.basis.split(",") if s.strip()]
+    space = gf2.subspace_from(vectors, args.n)
+    report = gf2.macwilliams_check(space)
     char = gf2.weight_character(space).as_list()
     perp_char = gf2.weight_character(gf2.complement(space)).as_list()
     mark = "ok" if report.ok else "MISMATCH"
@@ -175,11 +144,7 @@ def cmd_macwilliams(args) -> int:
 
 
 def cmd_pyramid(args) -> int:
-    try:
-        plane = hadamard.pyramid_plane(args.direction, args.depth, args.rows)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+    plane = hadamard.pyramid_plane(args.direction, args.depth, args.rows)
     if args.format == "csv":
         print(plane.to_csv().rstrip("\n"))
     else:
@@ -257,7 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a value the command cannot take
+        print(str(exc), file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Ring-valued and complex-phase Krawtchouk matrices.
 
 Column q of the generalized matrix holds the coefficients of
-(1 + alpha t)^(n-q) (1 + beta t)^q over any commutative ring; the classical
-matrix is the specialization (alpha, beta) = (1, -1).  Working symbolically
-(alpha, beta as polynomial generators) proves the cross and trace identities
-for every specialization at once.
+(1 + alpha t)^(n-q) (1 + beta t)^q over any commutative ring, so the
+matrix is the n-th symmetric power of [[1, 1], [alpha, beta]] (see
+:func:`krawtchouk.sympow.sym_group_power`).  The classical matrix is the
+specialization (alpha, beta) = (1, -1), the power of the Hadamard matrix.
+Working symbolically (alpha, beta as polynomial generators) proves the
+cross and trace identities for every specialization at once.
 
 The phase family K(phi) fixes alpha = 1 and beta = e^(i phi).  Phases 0,
 pi/2 and pi land in the exact Gaussian ring (beta = 1, i, -1); anything else
@@ -21,35 +23,22 @@ import math
 from .core import k_binsum
 from .matrix import CheckReport, Matrix, check_cells
 from .rings import ALPHA, BETA, GAUSS, Gaussian, POLY2, ring_of
+from .sympow import sym_group_power
 
 
 def k_general(n: int, alpha, beta) -> Matrix:
-    """Generalized Krawtchouk matrix over the ring of (alpha, beta)."""
+    """Generalized Krawtchouk matrix over the ring of (alpha, beta).
+
+    The n-th symmetric power of [[1, 1], [alpha, beta]]: its column q is
+    (1 + alpha t)^(n-q) (1 + beta t)^q.
+    """
     if n < 0:
         raise ValueError("order must be non-negative")
     ring = ring_of(alpha)
     if ring != ring_of(beta):
         raise ValueError("alpha and beta must come from the same ring")
     one = ring.one
-    cols = []
-    for q in range(n + 1):
-        coeffs = [one]
-        for _ in range(n - q):
-            coeffs = _poly_mul_linear(coeffs, alpha, ring.zero)
-        for _ in range(q):
-            coeffs = _poly_mul_linear(coeffs, beta, ring.zero)
-        cols.append(coeffs)
-    rows = [[cols[q][p] for q in range(n + 1)] for p in range(n + 1)]
-    return Matrix(ring, rows)
-
-
-def _poly_mul_linear(coeffs, root, zero):
-    """Multiply a coefficient list by (1 + root*t)."""
-    out = [zero] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] = out[i] + c
-        out[i + 1] = out[i + 1] + c * root
-    return out
+    return sym_group_power(Matrix(ring, [[one, one], [alpha, beta]]), n)
 
 
 def k_general_symbolic(n: int) -> Matrix:
@@ -108,8 +97,8 @@ def trace_cells(k: Matrix, alpha, beta):
             for p in range(n) for q in range(n))
 
 
-def general_cross_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
-    """The four cross identities of the (alpha, beta) family.
+def general_cross_check(n: int) -> CheckReport:
+    """The four cross identities of the symbolic (alpha, beta) family.
 
     With E(n,p,q) denoting the order-n entry (zero outside the index range):
 
@@ -120,10 +109,9 @@ def general_cross_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
     """
     if n < 1:
         raise ValueError("cross identities need order >= 1")
-    ring = ring_of(alpha)
-    entry = padded_entries({m: k_general(m, alpha, beta)
-                            for m in (n - 1, n, n + 1)}, ring.zero)
-    return check_cells(cross_cells(entry, n, alpha, beta), n=n, ring=ring)
+    entry = padded_entries({m: k_general_symbolic(m)
+                            for m in (n - 1, n, n + 1)}, POLY2.zero)
+    return check_cells(cross_cells(entry, n, ALPHA, BETA), n=n, ring=POLY2)
 
 
 def trace_identity_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
@@ -178,18 +166,18 @@ def phase_coherence_check(n: int) -> CheckReport:
     return CheckReport.of_matrices(k, ref, n=n, note="phase pi = classical")
 
 
-def snake_coordinates(n: int, phi: float, q: int) -> list:
+def snake_coordinates(k: Matrix, q: int) -> list:
     """Column q of K(phi) as (re, im) points, consecutive pairs joined.
 
-    Column 0 is permitted but degenerate (it is the all-real binomial
-    column); figures normally use q = 1..n.
+    ``k`` is a matrix that :func:`k_phase` built.  Column 0 is permitted
+    but degenerate (it is the all-real binomial column); figures normally
+    use q = 1..n.
     """
+    n = k.rows - 1
     if not 0 <= q <= n:
         raise ValueError(f"column {q} out of range for order {n}")
-    k = k_phase(n, phi)
     points = []
-    for p in range(n + 1):
-        z = k[p, q]
+    for z in k.col(q):
         if isinstance(z, Gaussian):
             points.append((z.re, z.im))
         else:
@@ -197,20 +185,20 @@ def snake_coordinates(n: int, phi: float, q: int) -> list:
     return points
 
 
-def snake_csv(n: int, phi: float, q: int) -> str:
-    """One `re,im` line per entry of column q."""
+def snake_csv(k: Matrix, q: int) -> str:
+    """One `re,im` line per entry of column q of K(phi)."""
     return "\n".join(f"{float(re)!r},{float(im)!r}"
-                     for re, im in snake_coordinates(n, phi, q)) + "\n"
+                     for re, im in snake_coordinates(k, q)) + "\n"
 
 
-def snake_svg(n: int, phi: float, columns=None, size: int = 400) -> str:
-    """Standalone SVG with one polyline per requested column (default 1..n)."""
-    if columns is None:
-        columns = range(1, n + 1)
-    columns = list(columns)
-    paths = {q: snake_coordinates(n, phi, q) for q in columns}
-    xs = [float(x) for pts in paths.values() for x, _ in pts]
-    ys = [float(y) for pts in paths.values() for _, y in pts]
+def snake_svg(k: Matrix) -> str:
+    """Standalone 400x400 SVG with one polyline per column 1..n of K(phi)."""
+    n = k.rows - 1
+    if n < 1:
+        raise ValueError("snake figures need order >= 1")
+    paths = [snake_coordinates(k, q) for q in range(1, n + 1)]
+    xs = [float(x) for pts in paths for x, _ in pts]
+    ys = [float(y) for pts in paths for _, y in pts]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     pad = 0.05 * max(hi_x - lo_x, hi_y - lo_y, 1.0)
@@ -220,14 +208,14 @@ def snake_svg(n: int, phi: float, columns=None, size: int = 400) -> str:
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#17becf"]
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="{view[0]:.4f} {view[1]:.4f} '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="400" '
+        f'height="400" viewBox="{view[0]:.4f} {view[1]:.4f} '
         f'{view[2]:.4f} {view[3]:.4f}">',
         # flip y so the positive imaginary axis points up
         f'<g transform="scale(1,-1) translate(0,{-(2 * lo_y + (hi_y - lo_y)):.4f})">',
     ]
-    for idx, q in enumerate(columns):
-        pts = " ".join(f"{float(x):.6f},{float(y):.6f}" for x, y in paths[q])
+    for idx, path in enumerate(paths):
+        pts = " ".join(f"{float(x):.6f},{float(y):.6f}" for x, y in path)
         color = palette[idx % len(palette)]
         lines.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="{stroke:.4f}" points="{pts}"/>')

@@ -144,9 +144,10 @@ def pyramid_cross_check(n_max: int) -> CheckReport:
       (iv)  E(n,i,j) - E(n,i,j+1) = 2 E(n-1,i-1,j)
       (v)   E(n,i+1,j) = E(n,i,j) + E(n,i,j+1) + E(n,i+1,j+1)
 
-    (i)-(iv) are the cross identities of
-    :func:`krawtchouk.generalized.general_cross_check` at
-    (alpha, beta) = (1, -1), where they are numbered (i), (ii), (iv), (iii).
+    (i)-(iv) are the cross identities that
+    :func:`krawtchouk.generalized.general_cross_check` proves symbolically,
+    at (alpha, beta) = (1, -1); there they are numbered (i), (ii), (iv),
+    (iii).
     (v) is the square identity: of any four adjacent entries, the lower
     left is the sum of the other three (the classical specialization of the
     trace identity).  Both run on the reference matrices.

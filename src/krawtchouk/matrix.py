@@ -37,10 +37,8 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_rows(rows, ring: Ring | None = None) -> "Matrix":
-        if ring is None:
-            ring = ring_of(rows[0][0])
-        return Matrix(ring, rows)
+    def from_rows(rows) -> "Matrix":
+        return Matrix(ring_of(rows[0][0]), rows)
 
     @staticmethod
     def identity(n: int, ring: Ring = ZZ) -> "Matrix":

@@ -69,20 +69,20 @@ def path_weight(word: str, q: int, alpha, beta):
 def words_to(n: int, p: int):
     """All words of length n with exactly p letters R, lexicographically.
 
-    Words compare with L < R, so the smallest word pushes its R's to the
-    end; that is exactly the reverse of the position-tuple lex order that
-    ``combinations`` yields.  The bound is checked when called, not when
-    the first word is drawn.
+    Words compare with L < R, so drawing the n-p positions of L in the
+    lex order that ``combinations`` yields gives the words in order, one
+    at a time.  The bound is checked when called, not when the first word
+    is drawn.
     """
     require_enumerable(n, p)
     return (_word(n, positions)
-            for positions in reversed(list(combinations(range(n), p))))
+            for positions in combinations(range(n), n - p))
 
 
-def _word(n: int, positions) -> str:
-    letters = ["L"] * n
-    for i in positions:
-        letters[i] = "R"
+def _word(n: int, l_positions) -> str:
+    letters = ["R"] * n
+    for i in l_positions:
+        letters[i] = "L"
     return "".join(letters)
 
 

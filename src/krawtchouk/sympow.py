@@ -14,8 +14,12 @@ polynomials in x, y two ways:
 
 The Hadamard matrix H = [[1,1],[1,-1]] then reproduces all three actors of
 the master equation in one stroke: H^group = K, F^algebra = Kac M,
-G^algebra = Lambda.  Ordinary Kronecker powers and Kronecker-sum ("boxed")
-powers are provided for the unsymmetrized comparison.
+G^algebra = Lambda.  More generally the group power of
+[[1, 1], [alpha, beta]] has column q equal to (1 + alpha t)^(n-q)
+(1 + beta t)^q in t = y/x: it is the ring-valued K(alpha, beta), which
+:func:`krawtchouk.generalized.k_general` builds this way.  Ordinary
+Kronecker powers and Kronecker-sum ("boxed") powers are provided for the
+unsymmetrized comparison.
 """
 
 from __future__ import annotations
@@ -45,24 +49,28 @@ def _require_2x2(a: Matrix):
 
 
 def sym_group_power(a: Matrix, n: int) -> Matrix:
-    """Symmetric n-th power of a group element (substitution action)."""
+    """Symmetric n-th power of a group element (substitution action).
+
+    The powers of the first form are expanded once; column q starts from
+    the (n-q)-th of them and takes q more factors of the second form.
+    """
     _require_2x2(a)
     if n < 0:
         raise ValueError("power must be non-negative")
     ring = a.ring
-    zero, one = ring.zero, ring.one
+    zero = ring.zero
     top = (a[0, 0], a[1, 0])      # A^T applied to (x, y): first output
     bot = (a[0, 1], a[1, 1])      # second output
+    tops = [[ring.one]]           # coefficients in y-degree, i.e. e-index
+    for _ in range(n):
+        tops.append(_mul_linear_form(tops[-1], top, zero))
     cols = []
     for q in range(n + 1):
-        coeffs = [one]            # coefficients in y-degree, i.e. e-index
-        for _ in range(n - q):
-            coeffs = _mul_linear_form(coeffs, top, zero)
+        coeffs = tops[n - q]
         for _ in range(q):
             coeffs = _mul_linear_form(coeffs, bot, zero)
         cols.append(coeffs)
-    return Matrix(ring, [[cols[q][p] for q in range(n + 1)]
-                         for p in range(n + 1)])
+    return Matrix(ring, zip(*cols))
 
 
 def _mul_linear_form(coeffs, form, zero):

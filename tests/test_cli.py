@@ -190,6 +190,32 @@ def test_snake_command(tmp_path, capsys):
     assert "viewBox" in svg
 
 
+def test_snake_builds_the_phase_matrix_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    k_phase = generalized.k_phase
+
+    def counted(n, phi):
+        calls.append((n, phi))
+        return k_phase(n, phi)
+
+    monkeypatch.setattr(generalized, "k_phase", counted)
+    code, out, _ = run_cli(capsys, "snake", "--n", "7", "--phi", "0.7",
+                           "--out", str(tmp_path / "figs"))
+    assert code == 0
+    assert len(out.splitlines()) == 8  # 7 CSV files and the SVG
+    assert calls == [(7, 0.7)]
+
+
+def test_snake_refuses_order_zero_before_writing(tmp_path, capsys):
+    outdir = tmp_path / "figs"
+    for n in ("0", "-1"):
+        code, out, err = run_cli(capsys, "snake", "--n", n, "--out",
+                                 str(outdir))
+        assert code == 2 and out == ""
+        assert "order" in err
+        assert not outdir.exists()
+
+
 def test_macwilliams_command(capsys):
     code, out, _ = run_cli(capsys, "macwilliams", "--n", "3",
                            "--basis", "110")

@@ -1,6 +1,8 @@
 """Ring-valued matrices, phase matrices, and snake figures."""
 
+import cmath
 import math
+from math import comb
 
 import pytest
 
@@ -94,27 +96,43 @@ def test_phase_generic_is_complex_float():
     assert abs(k[1, 1] - (1 + complex(math.cos(1), math.sin(1)))) < 1e-9
 
 
+def test_generic_phase_at_high_order_matches_the_binomial_sum():
+    # entry (p, q) = sum_k C(q, k) beta^k C(n-q, p-k), within 1e-9 C(n, p)
+    n, phi = 48, 0.7
+    beta = cmath.exp(1j * phi)
+    k = generalized.k_phase(n, phi)
+    assert k.ring.name == "complex"
+    for p in range(n + 1):
+        for q in range(n + 1):
+            ref = sum(comb(q, j) * beta ** j * comb(n - q, p - j)
+                      for j in range(max(0, p - (n - q)), min(p, q) + 1))
+            assert abs(k[p, q] - ref) <= 1e-9 * comb(n, p), (p, q)
+
+
 def test_snake_coordinates_columns():
-    assert generalized.snake_coordinates(3, math.pi / 2, 3) == \
-        [(1, 0), (0, 3), (-3, 0), (0, -1)]
-    assert generalized.snake_coordinates(2, math.pi / 2, 1) == \
-        [(1, 0), (1, 1), (0, 1)]
-    assert generalized.snake_coordinates(1, math.pi / 2, 1) == [(1, 0), (0, 1)]
+    def column(n, q):
+        return generalized.snake_coordinates(
+            generalized.k_phase(n, math.pi / 2), q)
+
+    assert column(3, 3) == [(1, 0), (0, 3), (-3, 0), (0, -1)]
+    assert column(2, 1) == [(1, 0), (1, 1), (0, 1)]
+    assert column(1, 1) == [(1, 0), (0, 1)]
     # q = 0 is allowed but degenerate: all-real binomial column
-    flat = generalized.snake_coordinates(4, math.pi / 2, 0)
+    flat = column(4, 0)
     assert all(im == 0 for _, im in flat)
     with pytest.raises(ValueError):
-        generalized.snake_coordinates(3, math.pi / 2, 4)
+        column(3, 4)
 
 
 def test_snake_csv_and_svg():
-    csv = generalized.snake_csv(3, math.pi / 2, 3)
+    csv = generalized.snake_csv(generalized.k_phase(3, math.pi / 2), 3)
     lines = csv.strip().splitlines()
     assert len(lines) == 4
     assert lines[0] == "1.0,0.0"
-    svg = generalized.snake_svg(5, math.pi / 2)
+    k5 = generalized.k_phase(5, math.pi / 2)
+    svg = generalized.snake_svg(k5)
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 5
     for q in range(1, 6):
-        pts = generalized.snake_coordinates(5, math.pi / 2, q)
+        pts = generalized.snake_coordinates(k5, q)
         assert len(pts) == 6

@@ -1,6 +1,7 @@
 """The exhaustive path-sum and twiston oracles against the constructions."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -138,3 +139,16 @@ def test_enumerations_refuse_before_any_work(monkeypatch):
             pathsum.words_to(n, p)
         with pytest.raises(ValueError, match="enumeration bound"):
             pathsum.twiston_energy(n, 0, p)
+
+
+def test_words_to_draws_its_first_word_without_listing_the_rest():
+    tracemalloc.start()
+    try:
+        words = pathsum.words_to(20, 10)
+        first = next(words)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == "L" * 10 + "R" * 10
+    # listing all C(20,10) = 184,756 position tuples first took ~24 MB
+    assert peak < 2 ** 20, peak

@@ -2,17 +2,64 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from krawtchouk import core, spectral, sympow
 from krawtchouk.matrix import Matrix
-from krawtchouk.rings import QQ, ZZ
+from krawtchouk.rings import GAUSS, QQ, ZZ, Gaussian
 
 
 def rand2(rng, lo=-4, hi=4):
     return Matrix(ZZ, [[rng.randint(lo, hi) for _ in range(2)]
                        for _ in range(2)])
+
+
+def rand2_gaussian(rng, lo=-4, hi=4):
+    return Matrix(GAUSS, [[Gaussian(rng.randint(lo, hi), rng.randint(lo, hi))
+                           for _ in range(2)] for _ in range(2)])
+
+
+def power(x, e, one):
+    out = one
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+def closed_form_group_power(m, n):
+    """Entry (p, q) of the n-th symmetric power of [[a, b], [c, d]]:
+
+    sum_k C(n-q, p-k) a^(n-q-p+k) c^(p-k) * C(q, k) b^(q-k) d^k,
+    the coefficient of y^p in (a x + c y)^(n-q) (b x + d y)^q.
+    """
+    one = m.ring.one
+    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+
+    def entry(p, q):
+        total = m.ring.zero
+        for k in range(max(0, p - (n - q)), min(p, q) + 1):
+            total = total + (
+                power(a, n - q - p + k, one) * power(c, p - k, one)
+                * power(b, q - k, one) * power(d, k, one)
+                * (comb(n - q, p - k) * comb(q, k)))
+        return total
+
+    return Matrix(m.ring, [[entry(p, q) for q in range(n + 1)]
+                           for p in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_group_power_matches_the_closed_form(n):
+    rng = random.Random(4100 + n)
+    mats = [rand2(rng) for _ in range(6)] + \
+        [rand2_gaussian(rng) for _ in range(3)]
+    # entries are drawn from -4..4, so zeros occur; pin one of each pattern
+    mats += [Matrix(ZZ, [[0, 3], [-2, 0]]), Matrix(ZZ, [[2, 0], [0, -3]]),
+             Matrix(ZZ, [[0, 0], [5, 1]])]
+    for m in mats:
+        assert sympow.sym_group_power(m, n) == closed_form_group_power(m, n), m
 
 
 @pytest.mark.parametrize("n", range(13))
