@@ -21,12 +21,21 @@ The second oracle is thermodynamic: the p-wise interaction energy of n
 two-state particles, q of them in the state of energy -1, is the p-th
 elementary symmetric function of the energies, again summed by brute force
 over all C(n,p) index subsets.
+
+Both oracles stay exhaustive: they visit every path and every subset.  But
+a path's weight depends only on r, its number of right steps in the
+window, and a subset's product only on how many of its members lie among
+the first q.  So each enumeration is a tally of small integers, and the
+ring arithmetic runs once per class of equal weight, not once per path:
+the sum over r of count_r * beta^r * alpha^(p-r).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 from .matrix import Matrix
@@ -108,10 +117,21 @@ class PathEnsemble:
         return words_to(self.n, self.p)
 
     def total_weight(self):
-        total = ring_of(self.alpha).zero
-        for word in self.words():
-            total = total + path_weight(word, self.q, self.alpha, self.beta)
-        return total
+        """Every path tallied by r, its right steps in the window, then weighed.
+
+        A path is the tuple of its n-p positions of L, drawn in the order
+        of ``words``; ``bisect_left`` counts those below q, so the path has
+        r = q - that count right steps in the window.
+        """
+        n, p, q = self.n, self.p, self.q
+        require_enumerable(n, p)
+        l_below = Counter(map(bisect_left, combinations(range(n), n - p),
+                              repeat(q)))
+        by_r = [0] * (p + 1)
+        for below, count in l_below.items():
+            by_r[q - below] = count
+        return _weigh(by_r, _class_weights(self.alpha, self.beta, p),
+                      ring_of(self.alpha).zero)
 
 
 def path_sum(n: int, p: int, q: int, alpha=1, beta=-1):
@@ -122,32 +142,50 @@ def path_sum(n: int, p: int, q: int, alpha=1, beta=-1):
 def oracle_matrix(n: int, alpha=1, beta=-1) -> Matrix:
     """Full (n+1) x (n+1) matrix of path sums by one sweep over all 2^n words.
 
-    Each word contributes its prefix-product weight to every column at once,
-    so the sweep costs O(2^n * n) ring operations.
+    Each word is tallied in every column at once, by its number p of right
+    steps and, per column q, the number r of them in the window; the sweep
+    costs O(2^n * n) integer increments, and the ring arithmetic runs once
+    per (p, q, r) class afterwards.
     """
     ring = ring_of(alpha)
     bound = ENUM_BOUND_SYMBOLIC if ring.name == "poly2" else ENUM_BOUND_NUMERIC
     if n > bound:
         raise ValueError(
             f"order {n} exceeds the 2^n enumeration bound {bound}")
-    zero, one = ring.zero, ring.one
-    pow_a = [one]
-    pow_b = [one]
-    for _ in range(n):
+    # tally[p][s][r]: words with p right steps, r of them in word >> s, the
+    # window of the first q = n - s steps (bit n-1-i of the word is step i,
+    # L=0 < R=1: lexicographic order)
+    tally = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for word in range(2 ** n):
+        window = word
+        for by_r in tally[word.bit_count()]:
+            by_r[window.bit_count()] += 1
+            window >>= 1
+    cells = []
+    for p, by_window in enumerate(tally):
+        weights = _class_weights(alpha, beta, p)
+        cells.append([_weigh(by_window[n - q], weights, ring.zero)
+                      for q in range(n + 1)])
+    return Matrix(ring, cells)
+
+
+def _class_weights(alpha, beta, p: int) -> list:
+    """beta^r alpha^(p-r) for r = 0..p, the weight of each class of paths to p.
+
+    Powers by repeated multiplication: ``Poly2`` has no ``**``.
+    """
+    one = ring_of(alpha).one
+    pow_a, pow_b = [one], [one]
+    for _ in range(p):
         pow_a.append(pow_a[-1] * alpha)
         pow_b.append(pow_b[-1] * beta)
-    cells = [[zero] * (n + 1) for _ in range(n + 1)]
-    for counter in range(2 ** n):
-        # bit n-1-i of the counter is step i, L=0 < R=1: lexicographic order
-        p = counter.bit_count()
-        row = cells[p]
-        r_seen = 0  # right steps inside the quantum window so far
-        row[0] = row[0] + pow_b[0] * pow_a[p]
-        for i in range(n):
-            if (counter >> (n - 1 - i)) & 1:
-                r_seen += 1
-            row[i + 1] = row[i + 1] + pow_b[r_seen] * pow_a[p - r_seen]
-    return Matrix(ring, cells)
+    return [pow_b[r] * pow_a[p - r] for r in range(p + 1)]
+
+
+def _weigh(by_r, weights, zero):
+    """Sum over the classes r of by_r[r] paths of weight weights[r]."""
+    return sum((count * weight for count, weight in zip(by_r, weights)
+                if count), zero)
 
 
 def k_pathsum(n: int):
@@ -167,14 +205,10 @@ def twiston_energy(n: int, q: int, p: int) -> int:
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("p and q must lie in 0..n")
     require_enumerable(n, p)
-    energies = [-1] * q + [1] * (n - q)
-    total = 0
-    for subset in combinations(range(n), p):
-        product = 1
-        for i in subset:
-            product *= energies[i]
-        total += product
-    return total
+    # a subset's product is (-1)^(its members among the first q): tally the
+    # subsets by that count, then weigh each class once
+    below = Counter(map(bisect_left, combinations(range(n), p), repeat(q)))
+    return sum(count if k % 2 == 0 else -count for k, count in below.items())
 
 
 def partition_check(n: int) -> bool:

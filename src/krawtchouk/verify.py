@@ -141,23 +141,34 @@ def _suite_quaternion(n_max: int, seed: int) -> SuiteReport:
            for name, vec in (("R", r), ("L", l))]))
 
     rng = random.Random(seed)
-    for kind_name, make in (("hamilton", quaternion.hamilton),
-                            ("split", quaternion.split)):
+    for kind_name, kind in (("hamilton", quaternion.HAMILTON),
+                            ("split", quaternion.SPLIT)):
         for t in range(RANDOM_QUATERNIONS):
-            p = make(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                       for _ in range(4)))
-            q = make(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                       for _ in range(4)))
+            p = _random_quaternion(rng, kind)
+            q = _random_quaternion(rng, kind)
+            pq = p * q
             lhs = quaternion.to_matrix2(p) @ quaternion.to_matrix2(q)
             report.record(_instance(t, check_cells([
                 (f"{kind_name} norm multiplicativity",
-                 [(None, (p * q).norm2(), p.norm2() * q.norm2())]),
+                 [(None, pq.norm2(), p.norm2() * q.norm2())]),
                 (f"{kind_name} conjugation anti-hom",
-                 [(None, (p * q).conj(), q.conj() * p.conj())]),
+                 [(None, pq.conj(), q.conj() * p.conj())]),
                 (f"{kind_name} 2x2 homomorphism",
-                 lhs.cells(quaternion.to_matrix2(p * q))),
+                 lhs.cells(quaternion.to_matrix2(pq))),
             ])))
     return report
+
+
+def _random_quaternion(rng: random.Random, kind: str):
+    """Four random coefficients num/den, num in -9..9 and den in 1..9.
+
+    Each component draws its numerator, then its denominator; the
+    numerators go over the lcm of the denominators, in lowest terms.
+    """
+    draws = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+    den = math.lcm(*(d for _, d in draws))
+    return quaternion._quaternion(
+        kind, (*(num * (den // d) for num, d in draws), den))
 
 
 def _suite_sympow(n_max: int, seed: int) -> SuiteReport:
@@ -295,6 +306,8 @@ SUITES = {
 
 def run_suites(names, n_max: int = 6, seed: int = 0):
     """Run the named suites (or all) and return reports sorted by name."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     if "all" in names:
         picked = sorted(SUITES)
     else:

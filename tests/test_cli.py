@@ -144,6 +144,14 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suites" in err
 
 
+def test_verify_refuses_a_negative_order(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suites", "master",
+                             "--n-max", "-5")
+    assert code == 2
+    assert out == ""
+    assert "n_max must be non-negative" in err
+
+
 def test_pathsum_command(capsys):
     code, out, _ = run_cli(capsys, "pathsum", "--n", "4", "--p", "3",
                            "--q", "2")

@@ -1,5 +1,6 @@
 """Constructions and identities of the classical Krawtchouk family."""
 
+import random
 import sys
 from fractions import Fraction
 from math import comb
@@ -299,3 +300,30 @@ def test_genfunc_builds_a_new_matrix_each_call():
     assert core.k_reference(5) is core.k_reference(5)
     assert first.mat is not core.k_reference(5)
     assert core.k_reference(5) == first.mat
+
+
+def test_run_suites_refuses_a_negative_order(monkeypatch):
+    def never(n_max, seed):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "SUITES",
+                        {name: never for name in verify.SUITES})
+    for names in (["all"], ["master"], ["quaternion", "phase"]):
+        with pytest.raises(ValueError, match="n_max"):
+            verify.run_suites(names, n_max=-1)
+    assert verify.run_suites([], n_max=0) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_quaternions_are_the_fraction_draws(seed):
+    # the suite's instances: numerator then denominator per component,
+    # each the quaternion of the four Fractions in lowest terms
+    rng, twin = random.Random(seed), random.Random(seed)
+    for kind, make in ((quaternion.HAMILTON, quaternion.hamilton),
+                       (quaternion.SPLIT, quaternion.split)):
+        for _ in range(200):
+            got = verify._random_quaternion(rng, kind)
+            want = make(*(Fraction(twin.randint(-9, 9), twin.randint(1, 9))
+                          for _ in range(4)))
+            assert got == want and got._n == want._n
+    assert rng.random() == twin.random()

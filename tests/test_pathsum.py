@@ -2,11 +2,12 @@
 
 import math
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
 from krawtchouk import core, generalized, pathsum
-from krawtchouk.rings import ALPHA, BETA, Gaussian
+from krawtchouk.rings import ALPHA, BETA, Gaussian, ring_of
 
 
 def test_path_weight_examples():
@@ -152,3 +153,32 @@ def test_words_to_draws_its_first_word_without_listing_the_rest():
     assert first == "L" * 10 + "R" * 10
     # listing all C(20,10) = 184,756 position tuples first took ~24 MB
     assert peak < 2 ** 20, peak
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1, -1), (3, -2), (Gaussian(1), Gaussian(0, 1)), (ALPHA, BETA)])
+def test_path_sum_is_the_sum_of_its_path_weights(alpha, beta):
+    zero = ring_of(alpha).zero
+    for n in range(9):
+        for p in range(n + 1):
+            words = list(pathsum.words_to(n, p))
+            for q in range(n + 1):
+                want = sum((pathsum.path_weight(w, q, alpha, beta)
+                            for w in words), zero)
+                got = pathsum.path_sum(n, p, q, alpha, beta)
+                assert got == want and type(got) is type(want), (n, p, q)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_twiston_energy_is_the_product_over_subsets(n):
+    for q in range(n + 1):
+        energies = [-1] * q + [1] * (n - q)
+        for p in range(n + 1):
+            want = sum(math.prod(energies[i] for i in subset)
+                       for subset in combinations(range(n), p))
+            assert pathsum.twiston_energy(n, q, p) == want, (q, p)
+
+
+@pytest.mark.parametrize("q", [0, 7, 20])
+def test_path_sum_at_the_benchmark_size(q):
+    assert pathsum.path_sum(20, 10, q) == core.k_entry(20, 10, q)
