@@ -22,17 +22,25 @@ USAGE_ERROR = 2
 
 
 def parse_phi(text: str) -> float:
-    """Accept 'pi', 'pi/2', '3pi/4', or a plain decimal."""
+    """Accept 'pi', 'pi/2', '3pi/4', or a plain decimal; refuse a zero
+    divisor and an angle that is not finite."""
     text = text.strip().lower().replace(" ", "")
     if "pi" in text:
         head, _, tail = text.partition("pi")
         factor = float(head) if head not in ("", "+", "-") else float(head + "1")
         if tail.startswith("/"):
-            factor /= float(tail[1:])
+            divisor = float(tail[1:])
+            if divisor == 0:
+                raise ValueError(f"angle {text!r} divides by zero")
+            factor /= divisor
         elif tail:
             raise ValueError(f"cannot parse angle {text!r}")
-        return factor * math.pi
-    return float(text)
+        phi = factor * math.pi
+    else:
+        phi = float(text)
+    if not math.isfinite(phi):
+        raise ValueError(f"angle {text!r} is not finite")
+    return phi
 
 
 def emit_matrix(mat: Matrix, fmt: str) -> str:

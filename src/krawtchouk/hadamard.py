@@ -5,9 +5,10 @@ symmetric structure across 2^n indices; grouping rows and columns by the
 binary weight of their index (the popcount) and summing the classes
 collapses it back to the (n+1) x (n+1) symmetric Krawtchouk matrix.  The
 2^n x 2^n intermediate is never stored: H^kron(n) factors into n butterfly
-stages (the fast Walsh-Hadamard transform), so one O(n 2^n) transform of a
-weight-class indicator gives a whole column of class sums, exactly, in
-Python integers.
+stages (the fast Walsh-Hadamard transform), applied in place, block by
+block.  All n+1 weight-class indicators ride through one O(n 2^n)
+transform as lanes of one Python integer per entry, so a single pass gives
+every column of class sums, exactly.
 
 Stacking the Krawtchouk matrices by order forms a pyramid whose plane
 sections are Pascal-like triangles.  The four section families and their
@@ -34,7 +35,9 @@ from .generalized import cross_cells, padded_entries, trace_cells
 from .matrix import CheckReport, Matrix, check_cells
 from .rings import ZZ
 
-REDUCE_BOUND = 16  # 2^n-entry lists, n + 1 transforms
+REDUCE_BOUND = 16  # 2^n-entry lists, one packed transform
+
+BLOCK_BITS = 10  # 2^10 entries per block of the in-place transform
 
 DIRECTIONS = ("west-down", "east-down", "north-up", "south-up")
 
@@ -67,47 +70,92 @@ def weight_labels(n: int) -> WeightLabeling:
     return WeightLabeling(n, tuple(labels))
 
 
+def _rotating_butterflies(part: list) -> list:
+    """Transform every index bit of a power-of-two-long list, in place.
+
+    Each stage applies the 2x2 Hadamard matrix to the top index bit and
+    rotates it to the bottom: with halves a, b, the even slots receive
+    a + b and the odd slots a - b.  After one stage per bit every bit is
+    back in place.  The halves of the last stage die on return.
+    """
+    half = len(part) // 2
+    for _ in range(half.bit_length()):
+        a, b = part[:half], part[half:]
+        part[0::2] = map(add, a, b)
+        part[1::2] = map(sub, a, b)
+    return part
+
+
 def walsh_hadamard(vec) -> list:
     """H^kron(n) times a length-2^n integer vector, in n butterfly stages.
 
-    Each stage applies the 2x2 Hadamard matrix to the top index bit and
-    rotates it to the bottom: with halves a, b of the current list, the even
-    slots receive a + b and the odd slots a - b.  After n stages every bit
-    has been transformed once and is back in place, so entry a of the result
-    is sum_b (-1)^popcount(a & b) vec[b].
+    Entry a of the result is sum_b (-1)^popcount(a & b) vec[b]; ``vec`` is
+    left untouched.  The stages run in place on one list, in two phases:
+    each block of 2^BLOCK_BITS entries (the whole vector, if shorter) gets
+    rotating butterflies on its slice, for its low index bits; then each
+    higher bit h pairs whole blocks x at j and y at j + h, which become
+    x + y and x - y.  Only one block's entries are ever alive in two
+    generations at once.
     """
     size = len(vec)
     if size < 1 or size & (size - 1):
         raise ValueError(f"vector length {size} is not a power of two")
-    half = size // 2
     out = list(vec)
-    for _ in range(size.bit_length() - 1):
-        a, b = out[:half], out[half:]
-        out[0::2] = map(add, a, b)
-        out[1::2] = map(sub, a, b)
+    block = min(size, 1 << BLOCK_BITS)
+    for j in range(0, size, block):
+        out[j:j + block] = _rotating_butterflies(out[j:j + block])
+    h = block
+    while h < size:
+        for base in range(0, size, 2 * h):
+            for j in range(base, base + h, block):
+                x, y = out[j:j + block], out[j + h:j + h + block]
+                out[j:j + block] = map(add, x, y)
+                out[j + h:j + h + block] = map(sub, x, y)
+        h *= 2
     return out
+
+
+def _lane_bits(n: int) -> int:
+    """Lane width L with every |S_pq| <= C(n,p) C(n,q) below 2^L / 2."""
+    return (comb(n, n // 2) ** 2).bit_length() + 1
 
 
 def reduce_to_symmetric(n: int) -> Matrix:
     """Collapse H^kron(n) by weight classes; equals the symmetric matrix.
 
     S_{pq} = sum of H^kron entries over rows of weight p, columns of
-    weight q.  H^kron(n) applied to the indicator of the weight-q class,
-    by the butterfly factorisation, gives every row's sum over those
-    columns; summing that image over each weight-p class of rows gives
-    column q.  Every Sylvester entry still enters, in factored form; the
+    weight q.  All n+1 weight-class indicators go through one transform as
+    lanes of one integer per entry: entry b is X^{w(b)} with X = 2^L wide
+    enough for every |S_pq| (see ``_lane_bits``), so lane q of row a's image
+    is that row's sum over the weight-q columns.  Summing the image over
+    each weight-p class of rows and reading the sum as n+1 balanced base-X
+    digits gives row p; a nonzero remainder means a lane overflowed and is
+    an error.  Every Sylvester entry still enters, in factored form; the
     route shares no code with the generating function, so it stays an
     independent construction of the symmetric matrix.
     """
     if not 0 <= n <= REDUCE_BOUND:
         raise ValueError(f"reduction bound is 0..{REDUCE_BOUND}")
-    labeling = weight_labels(n)
-    classes = labeling.classes()
-    cols = []
-    for q in range(n + 1):
-        image = walsh_hadamard([int(w == q) for w in labeling.labels])
-        cols.append([sum(map(image.__getitem__, rows)) for rows in classes])
-    return Matrix(ZZ, [list(row) for row in zip(*cols)])
+    labels = weight_labels(n).labels
+    bits = _lane_bits(n)
+    powers = [1 << (bits * q) for q in range(n + 1)]
+    image = walsh_hadamard([powers[w] for w in labels])
+    sums = [0] * (n + 1)
+    for w, x in zip(labels, image):
+        sums[w] += x
+    del image  # free the packed entries before the result is built
+    mask, offset = (1 << bits) - 1, 1 << (bits - 1)
+    rows = []
+    for total in sums:
+        row = []
+        for _ in range(n + 1):
+            digit = ((total + offset) & mask) - offset
+            row.append(digit)
+            total = (total - digit) >> bits
+        if total:
+            raise AssertionError("a weight-class sum overflowed its lanes")
+        rows.append(row)
+    return Matrix(ZZ, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,31 @@ def test_phi_parsing():
         cli.parse_phi("pi2pi")
 
 
+@pytest.mark.parametrize("text, why", [
+    ("pi/0", "divides by zero"), ("-3pi/0.0", "divides by zero"),
+    ("nan", "not finite"), ("inf", "not finite"), ("-inf", "not finite"),
+    ("infpi", "not finite"), ("pi/nan", "not finite"), ("1e400", "not finite"),
+])
+def test_phi_parsing_refuses_bad_angles(text, why):
+    with pytest.raises(ValueError, match=why) as info:
+        cli.parse_phi(text)
+    assert repr(text) in str(info.value)
+
+
+@pytest.mark.parametrize("phi", ["pi/0", "nan", "inf"])
+def test_bad_angles_are_usage_errors(tmp_path, capsys, phi):
+    code, out, err = run_cli(capsys, "gen", "phase", "--n", "2",
+                             f"--phi={phi}")
+    assert (code, out) == (2, "")
+    assert repr(phi) in err
+    outdir = tmp_path / "snakes"
+    code, out, err = run_cli(capsys, "snake", "--n", "3", f"--phi={phi}",
+                             "--out", str(outdir))
+    assert (code, out) == (2, "")
+    assert repr(phi) in err
+    assert not outdir.exists()
+
+
 def test_transform_rejects_bad_length(capsys):
     code, _, err = run_cli(capsys, "transform", "--n", "3",
                            "--covector", "1,2")

@@ -1,6 +1,7 @@
 """Sylvester reduction, weight labels, and pyramid planes."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -42,6 +43,21 @@ def test_walsh_hadamard_matches_kron_power(n):
         assert hadamard.walsh_hadamard(vec) == h_kron.mul_vector(vec)
 
 
+@pytest.mark.parametrize("n", range(10, 14))
+def test_walsh_hadamard_across_blocks(n):
+    # beyond 2^BLOCK_BITS entries the top bits pair whole blocks; check
+    # rows 0, 2^n - 1 and eight random rows against the defining sum
+    rng = random.Random(1000 + n)
+    size = 2 ** n
+    vec = [rng.randint(-2 ** 80, 2 ** 80) for _ in range(size)]
+    before = list(vec)
+    image = hadamard.walsh_hadamard(vec)
+    assert vec == before
+    for a in [0, size - 1] + rng.sample(range(size), 8):
+        assert image[a] == sum(-x if (a & b).bit_count() % 2 else x
+                               for b, x in enumerate(vec)), a
+
+
 def test_walsh_hadamard_rejects_bad_length():
     for size in (0, 3, 6):
         with pytest.raises(ValueError, match="power of two"):
@@ -61,6 +77,25 @@ def test_reduce_small_cases():
 @pytest.mark.parametrize("n", range(hadamard.REDUCE_BOUND + 1))
 def test_reduce_equals_symmetric(n):
     assert hadamard.reduce_to_symmetric(n) == core.k_symmetric(n)
+
+
+def test_reduce_asserts_its_lanes_hold(monkeypatch):
+    # 2-bit lanes at n = 6 overflow; the decode must refuse, not return
+    monkeypatch.setattr(hadamard, "_lane_bits", lambda n: 2)
+    with pytest.raises(AssertionError, match="overflowed"):
+        hadamard.reduce_to_symmetric(6)
+
+
+def test_reduce_keeps_one_generation_alive():
+    # the packed lanes on a transform that kept two generations of all
+    # 2^14 entries peaked at 2.91 MiB; in place the peak is about 1.71 MiB
+    tracemalloc.start()
+    try:
+        hadamard.reduce_to_symmetric(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 < 1.8
 
 
 @pytest.mark.parametrize("n", range(15))
