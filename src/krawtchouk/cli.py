@@ -228,8 +228,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_phi(argv) -> list:
+    """Write ``--phi VALUE`` as ``--phi=VALUE``.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    negative number, such as ``-pi/2``, for an option and not for the angle.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--phi":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_phi(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValueError as exc:  # a value the command cannot take

@@ -175,7 +175,7 @@ def gamma_inverse(n: int) -> Matrix:
 
 def k_symmetric(n: int) -> Matrix:
     """Symmetric Krawtchouk matrix S = K * Gamma (column q scaled by C(n,q))."""
-    k = k_genfunc(n).mat
+    k = k_reference(n)
     return Matrix(ZZ, [[k[p, q] * comb(n, q) for q in range(n + 1)]
                        for p in range(n + 1)])
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import k_binsum
+from .core import k_reference
 from .matrix import CheckReport, Matrix, check_cells
 from .rings import ALPHA, BETA, GAUSS, Gaussian, POLY2, ring_of
 from .sympow import sym_group_power
@@ -162,7 +162,7 @@ def k_phase(n: int, phi: float) -> Matrix:
 def phase_coherence_check(n: int) -> CheckReport:
     """k_phase(n, pi) equals the classical matrix with zero imaginary parts."""
     k = k_phase(n, math.pi)
-    ref = k_binsum(n).mat.map(Gaussian, GAUSS)
+    ref = k_reference(n).map(Gaussian, GAUSS)
     return CheckReport.of_matrices(k, ref, n=n, note="phase pi = classical")
 
 

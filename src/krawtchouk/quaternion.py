@@ -15,6 +15,11 @@ The 2x2 matrix representations (complex entries for Hamilton, real for
 split) are faithful; the split picture sends F+G to the Hadamard matrix,
 which is how this algebra meets the Krawtchouk story: FH = HG, both sides
 equal 1 - i.
+
+:class:`Quaternion` stores its coefficients in the lowest-terms format of
+:class:`krawtchouk.rings._Lowest`, which also gives it coercion,
+subtraction and its text form (``-F+5/3G``); this module keeps only the
+kind and the unrolled sum, product, conjugation, norm and inverse.
 """
 
 from __future__ import annotations
@@ -23,98 +28,87 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix import Matrix
-from .rings import (GAUSS, QQ, Gaussian, _component, _lowest, _new,
-                    _over_common_den)
+from .rings import GAUSS, QQ, Gaussian, _Lowest
 
 HAMILTON = "Hamilton"
 SPLIT = "Split"
+_UNITS = {HAMILTON: ("", "i", "j", "k"), SPLIT: ("", "i", "F", "G")}
 
 
-class Quaternion:
+class Quaternion(_Lowest, components=("a", "b", "c", "d")):
     """a + b*i + c*(j or F) + d*(k or G), coefficients exact rationals.
 
-    ``_n = (a, b, c, d, den)`` holds the four coefficients as integer
-    numerators over one positive denominator in lowest terms; ``a`` .. ``d``
-    read as Fractions.
+    ``_n = (a, b, c, d, den)`` in the lowest terms of
+    :class:`krawtchouk.rings._Lowest`; ``a`` .. ``d`` read as Fractions.
     """
 
-    __slots__ = ("_kind", "_n")
+    __slots__ = ("_kind",)
 
     def __init__(self, kind, a=0, b=0, c=0, d=0):
         if kind not in (HAMILTON, SPLIT):
             raise ValueError(f"unknown quaternion kind {kind!r}")
         self._kind = kind
-        self._n = _over_common_den((a, b, c, d), Fraction)
+        self._store((a, b, c, d), Fraction)
 
     kind = property(lambda self: self._kind)
-    a = _component(0)
-    b = _component(1)
-    c = _component(2)
-    d = _component(3)
+
+    _units = property(lambda self: _UNITS[self._kind])
 
     # -- ring structure ------------------------------------------------
+
+    def _of(self, parts: tuple) -> "Quaternion":
+        """The quaternion of this kind with parts (a, b, c, d, den), den > 0.
+
+        An instance method, unlike the base's, since the kind comes from
+        ``self``; it builds the value directly rather than through
+        ``super()``, which would cost every sum and product another call.
+        """
+        q = object.__new__(Quaternion)
+        q._kind = self._kind
+        q._n = self._lowest(parts)
+        return q
 
     def _coerce(self, other):
         if isinstance(other, Quaternion):
             if other._kind != self._kind:
                 raise ValueError("mixed Hamilton/split arithmetic")
             return other
-        if isinstance(other, (int, Fraction)):
-            return _quaternion(self._kind, (other.numerator, 0, 0, 0,
-                                            other.denominator))
-        return None
+        return super()._coerce(other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
+        if other is NotImplemented:
             return NotImplemented
         a1, b1, c1, d1, den1 = self._n
         a2, b2, c2, d2, den2 = other._n
         if den1 == den2:
-            parts = (a1 + a2, b1 + b2, c1 + c2, d1 + d2, den1)
-        else:
-            parts = (a1 * den2 + a2 * den1, b1 * den2 + b2 * den1,
-                     c1 * den2 + c2 * den1, d1 * den2 + d2 * den1,
-                     den1 * den2)
-        return _quaternion(self._kind, parts)
+            return self._of((a1 + a2, b1 + b2, c1 + c2, d1 + d2, den1))
+        return self._of((a1 * den2 + a2 * den1, b1 * den2 + b2 * den1,
+                         c1 * den2 + c2 * den1, d1 * den2 + d2 * den1,
+                         den1 * den2))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         a, b, c, d, den = self._n
-        return _quaternion(self._kind, (-a, -b, -c, -d, den))
+        return self._of((-a, -b, -c, -d, den))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is None:
+        if other is NotImplemented:
             return NotImplemented
         a1, b1, c1, d1, den1 = self._n
         a2, b2, c2, d2, den2 = other._n
         s = self._square()
-        return _quaternion(self._kind, (
+        return self._of((
             a1 * a2 - b1 * b2 + s * (c1 * c2 + d1 * d2),
             a1 * b2 + b1 * a2 - s * (c1 * d2 - d1 * c2),
             a1 * c2 + c1 * a2 + d1 * b2 - b1 * d2,
             a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
             den1 * den2))
 
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__mul__(self)
+    # a left operand that is not a quaternion is a rational, which commutes
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Quaternion):
@@ -136,7 +130,7 @@ class Quaternion:
 
     def conj(self) -> "Quaternion":
         a, b, c, d, den = self._n
-        return _quaternion(self._kind, (a, -b, -c, -d, den))
+        return self._of((a, -b, -c, -d, den))
 
     def norm2(self) -> Fraction:
         """q * conj(q); a^2+b^2+c^2+d^2 (Hamilton) or a^2+b^2-c^2-d^2 (split)."""
@@ -151,44 +145,18 @@ class Quaternion:
         a, b, c, d, den = self._n
         if n2 < 0:
             n2, den = -n2, -den
-        return _quaternion(self._kind,
-                           (a * den, -b * den, -c * den, -d * den, n2))
+        return self._of((a * den, -b * den, -c * den, -d * den, n2))
 
     def pure(self) -> "Quaternion":
         _, b, c, d, den = self._n
-        return _quaternion(self._kind, (0, b, c, d, den))
+        return self._of((0, b, c, d, den))
 
     def is_pure(self) -> bool:
         return self._n[0] == 0
 
-    def __str__(self):
-        units = ("", "i", "jF"[self._kind == SPLIT], "kG"[self._kind == SPLIT])
-        parts = []
-        for coeff, unit in zip((self.a, self.b, self.c, self.d), units):
-            if coeff == 0:
-                continue
-            body = str(abs(coeff)) if not unit or abs(coeff) != 1 else ""
-            text = f"{body}{unit}" or "0"
-            parts.append(("-" if coeff < 0 else "+", text))
-        if not parts:
-            return "0"
-        sign0, text0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + text0
-        for sign, text in parts[1:]:
-            out += sign + text
-        return out
-
     def __repr__(self):
         return (f"Quaternion(kind={self._kind!r}, a={self.a!r}, b={self.b!r}, "
                 f"c={self.c!r}, d={self.d!r})")
-
-
-def _quaternion(kind: str, parts: tuple) -> Quaternion:
-    """The quaternion of the given kind from parts (a, b, c, d, den), den > 0."""
-    q = _new(Quaternion)
-    q._kind = kind
-    q._n = _lowest(parts)
-    return q
 
 
 def split(a=0, b=0, c=0, d=0) -> Quaternion:
@@ -263,7 +231,7 @@ def lie_bracket(u: Quaternion, v: Quaternion) -> Quaternion:
     if u.kind != v.kind:
         raise ValueError("mixed Hamilton/split arithmetic")
     a, b, c, d, den = (u * v - v * u)._n
-    return _quaternion(u.kind, (a, b, c, d, 2 * den))
+    return u._of((a, b, c, d, 2 * den))
 
 
 def isotropic_basis():

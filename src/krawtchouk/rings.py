@@ -12,9 +12,16 @@ custom types:
 * ``complex``          -- double-precision complex, tolerance equality
 
 ``Gaussian``, ``RootTwo`` and :class:`krawtchouk.quaternion.Quaternion`
-store integer numerators over one positive denominator in lowest terms, so
-their arithmetic is integer arithmetic and each value has one stored form;
-their components still read as ``Fraction``.
+subclass one base, :class:`_Lowest`: integer numerators over one positive
+denominator in lowest terms, so their arithmetic is integer arithmetic and
+each value has one stored form; their components still read as
+``Fraction``.  The base owns that format: construction from parts,
+int/Fraction coercion, subtraction and the text form.
+
+One codec serves the custom types.  ``_signed_sum`` writes every one of
+them as a signed sum of coefficient-unit terms (``1/2-i``, ``-2/3√2``,
+``-F+5/3G``, ``a^2b-2ab+1``); ``_parse_sum`` reads the a, b·u and a±b·u
+text of ``Gaussian`` and ``RootTwo``, and refuses anything after the unit.
 
 A :class:`Ring` descriptor bundles the zero/one constants, checked equality,
 string formatting and parsing for each of them, keyed by a short name that is
@@ -70,47 +77,49 @@ def _over_common_den(values, convert) -> tuple:
     return (*[f.numerator * (den // f.denominator) for f in fracs], den)
 
 
-def _component(index: int) -> property:
-    """Read-only ``Fraction`` view of one numerator over the shared den."""
-    return property(lambda self: Fraction(self._n[index], self._n[-1]))
+class _Lowest:
+    """Integer numerators over one positive denominator, in lowest terms.
 
-
-class _Quadratic:
-    """(x + y*u)/den in Q[u], for the integer u^2 = ``_SQUARE`` of a subclass.
-
-    ``_n = (x, y, den)`` holds the integer numerators over one positive
-    denominator in lowest terms.
+    ``_n = (*numerators, den)`` gives each exact value one stored form, so
+    arithmetic is integer arithmetic and equality compares tuples.  A
+    subclass names its components in its class statement
+    (``components=(...)``), each read as a ``Fraction``, sets ``_units``,
+    the unit ``str`` writes after each coefficient, and keeps its own
+    unrolled ``+``, negation, conjugation and product.  This base gives
+    construction from parts, int/Fraction coercion, subtraction and the
+    text form.
     """
 
     __slots__ = ("_n",)
-    _SQUARE = 0
+    _ZEROS = ()  # the numerators of an int or Fraction after its first
+
+    def __init_subclass__(cls, components=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        for index, name in enumerate(components):
+            setattr(cls, name, property(
+                lambda self, i=index: Fraction(self._n[i], self._n[-1])))
+        if components:
+            cls._ZEROS = (0,) * (len(components) - 1)
+
+    def _store(self, values, convert=_frac) -> None:
+        """Keep component values: ints, Fractions or what ``convert`` reads."""
+        self._n = _over_common_den(values, convert)
+
+    _lowest = staticmethod(_lowest)
 
     @classmethod
     def _of(cls, parts: tuple):
-        """The element with parts (x, y, den), den > 0, reduced."""
+        """The element with parts (*numerators, den), den > 0, reduced."""
         z = _new(cls)
         z._n = _lowest(parts)
         return z
 
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, cls):
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
             return other
         if isinstance(other, (int, Fraction)):
-            return cls._of((other.numerator, 0, other.denominator))
+            return self._of((other.numerator, *self._ZEROS, other.denominator))
         return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        x1, y1, d1 = self._n
-        x2, y2, d2 = other._n
-        if d1 == d2:
-            return self._of((x1 + x2, y1 + y2, d1))
-        return self._of((x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2))
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -123,6 +132,33 @@ class _Quadratic:
         if other is NotImplemented:
             return NotImplemented
         return other - self
+
+    def __str__(self):
+        den = self._n[-1]
+        return _signed_sum(zip([Fraction(x, den) for x in self._n[:-1]],
+                               self._units))
+
+
+class _Quadratic(_Lowest):
+    """(x + y*u)/den in Q[u], for the integer u^2 = ``_SQUARE`` of a subclass.
+
+    ``_n = (x, y, den)``.
+    """
+
+    __slots__ = ()
+    _SQUARE = 0
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        x1, y1, d1 = self._n
+        x2, y2, d2 = other._n
+        if d1 == d2:
+            return self._of((x1 + x2, y1 + y2, d1))
+        return self._of((x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2))
+
+    __radd__ = __add__
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -157,20 +193,15 @@ class _Quadratic:
         return self._of((x, -y, den))
 
 
-class Gaussian(_Quadratic):
+class Gaussian(_Quadratic, components=("re", "im")):
     """Gaussian number re + im*i with exact rational components."""
 
     __slots__ = ()
     _SQUARE = -1
+    _units = ("", "i")
 
     def __init__(self, re=0, im=0):
-        self._n = _over_common_den((re, im), _frac)
-
-    re = _component(0)
-    im = _component(1)
-
-    def __str__(self):
-        return fmt_gaussian(self)
+        self._store((re, im))
 
     def __repr__(self):
         return f"Gaussian({self.re}, {self.im})"
@@ -179,17 +210,15 @@ class Gaussian(_Quadratic):
 I = Gaussian(0, 1)
 
 
-class RootTwo(_Quadratic):
+class RootTwo(_Quadratic, components=("a", "b")):
     """Element a + b*sqrt(2) of the quadratic ring Q[sqrt(2)]."""
 
     __slots__ = ()
     _SQUARE = 2
+    _units = ("", "√2")
 
     def __init__(self, a=0, b=0):
-        self._n = _over_common_den((a, b), _frac)
-
-    a = _component(0)
-    b = _component(1)
+        self._store((a, b))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -207,9 +236,6 @@ class RootTwo(_Quadratic):
         if den < 0:
             x, y, den = -x, -y, -den
         return self._of((x, y, den))
-
-    def __str__(self):
-        return fmt_root2(self)
 
     def __repr__(self):
         return f"RootTwo({self.a}, {self.b})"
@@ -326,7 +352,15 @@ class Poly2:
         return total
 
     def __str__(self):
-        return fmt_poly2(self)
+        terms = []
+        for (i, j) in sorted(self.terms, key=lambda m: (-(m[0] + m[1]), -m[0])):
+            mono = ""
+            if i:
+                mono += "a" if i == 1 else f"a^{i}"
+            if j:
+                mono += "b" if j == 1 else f"b^{j}"
+            terms.append((self.terms[(i, j)], mono))
+        return _signed_sum(terms)
 
     def __repr__(self):
         return f"Poly2({self.terms!r})"
@@ -348,109 +382,50 @@ def _as_poly2(x):
 # formatting / parsing
 # ---------------------------------------------------------------------------
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
+def _signed_sum(terms) -> str:
+    """(coefficient, unit) pairs as a signed sum such as ``1/2-i`` or ``-F+5/3G``.
+
+    Zero terms are dropped, a coefficient of magnitude 1 is written only
+    on the unitless term, and an empty sum is ``0``.
+    """
+    out = ""
+    for coeff, unit in terms:
+        if coeff:
+            mag = abs(coeff)
+            sign = "-" if coeff < 0 else "+" if out else ""
+            out += sign + (unit if unit and mag == 1 else f"{mag}{unit}")
+    return out or "0"
 
 
-def fmt_gaussian(z: Gaussian) -> str:
-    if z.im == 0:
-        return _fmt_frac(z.re)
-    if z.im == 1:
-        im = "i"
-    elif z.im == -1:
-        im = "-i"
-    else:
-        im = f"{_fmt_frac(z.im)}i"
-    if z.re == 0:
-        return im
-    sign = "+" if z.im > 0 else ""
-    return f"{_fmt_frac(z.re)}{sign}{im}"
+_SUM_RE = re.compile(r"([+-]?\d+(?:/\d+)?)?([+-](?:\d+(?:/\d+)?)?)?")
 
 
-_GAUSS_RE = re.compile(
-    r"^(?P<re>[+-]?\d+(?:/\d+)?)?(?P<im>[+-](?:\d+(?:/\d+)?)?)?i$"
-)
+def _parse_sum(s: str, cls, unit: str, *aliases):
+    """The text a, b·unit or a±b·unit as ``cls(a, b)``; a lone sign is ±1.
+
+    Spaces are ignored and each alias is read as ``unit``; text that does
+    not end in ``unit`` must be a rational.
+    """
+    s = s.strip().replace(" ", "")
+    for alias in aliases:
+        s = s.replace(alias, unit)
+    if not s.endswith(unit):
+        return cls(s)
+    m = _SUM_RE.fullmatch(s[:-len(unit)])
+    if m is None:
+        raise ValueError(f"bad {cls.__name__} literal {s!r}")
+    a, b = m.groups()
+    if b is None:  # "unit", "3unit", "-1/2unit": no rational part
+        return cls(0, a or 1)
+    return cls(a or 0, b + "1" if b in ("+", "-") else b)
 
 
 def parse_gaussian(s: str) -> Gaussian:
-    s = s.strip().replace(" ", "")
-    if not s.endswith("i"):
-        return Gaussian(Fraction(s))
-    if s in ("i", "+i"):
-        return Gaussian(0, 1)
-    if s == "-i":
-        return Gaussian(0, -1)
-    m = _GAUSS_RE.match(s)
-    if m is None:
-        raise ValueError(f"bad gaussian literal {s!r}")
-    re_part = m.group("re")
-    im_part = m.group("im")
-    if im_part is None:
-        # pure imaginary like "3i" or "-2/3i": re group captured the magnitude
-        return Gaussian(0, Fraction(re_part))
-    if im_part in ("+", "-"):
-        im_part += "1"
-    return Gaussian(Fraction(re_part or "0"), Fraction(im_part))
-
-
-def fmt_root2(x: RootTwo) -> str:
-    if x.b == 0:
-        return _fmt_frac(x.a)
-    if x.b == 1:
-        rad = "√2"
-    elif x.b == -1:
-        rad = "-√2"
-    else:
-        rad = f"{_fmt_frac(x.b)}√2"
-    if x.a == 0:
-        return rad
-    sign = "+" if x.b > 0 else ""
-    return f"{_fmt_frac(x.a)}{sign}{rad}"
+    return _parse_sum(s, Gaussian, "i")
 
 
 def parse_root2(s: str) -> RootTwo:
-    s = s.strip().replace(" ", "").replace("sqrt(2)", "√2").replace("sqrt2", "√2")
-    if "√2" not in s:
-        return RootTwo(Fraction(s))
-    head, _, _ = s.partition("√2")
-    # split head into rational part and sqrt2 coefficient
-    m = re.match(r"^(?P<a>[+-]?\d+(?:/\d+)?)?(?P<b>[+-](?:\d+(?:/\d+)?)?)?$", head)
-    if m is None:
-        raise ValueError(f"bad sqrt-2 literal {s!r}")
-    a_part, b_part = m.group("a"), m.group("b")
-    if b_part is None:
-        # no separate rational part: "√2", "3√2", "-1/2√2"
-        if a_part is None:
-            return RootTwo(0, 1)
-        return RootTwo(0, Fraction(a_part))
-    if b_part in ("+", "-"):
-        b_part += "1"
-    return RootTwo(Fraction(a_part or "0"), Fraction(b_part))
-
-
-def fmt_poly2(p: Poly2) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for (i, j) in sorted(p.terms, key=lambda m: (-(m[0] + m[1]), -m[0])):
-        coeff = p.terms[(i, j)]
-        mono = ""
-        if i:
-            mono += "a" if i == 1 else f"a^{i}"
-        if j:
-            mono += "b" if j == 1 else f"b^{j}"
-        if not mono:
-            text = str(abs(coeff))
-        elif abs(coeff) == 1:
-            text = mono
-        else:
-            text = f"{abs(coeff)}{mono}"
-        parts.append(("-" if coeff < 0 else "+", text))
-    sign0, text0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + text0
-    for sign, text in parts[1:]:
-        out += sign + text
-    return out
+    return _parse_sum(s, RootTwo, "√2", "sqrt(2)", "sqrt2")
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>\d+)?(?P<mono>(?:a(?:\^\d+)?)?(?:b(?:\^\d+)?)?)$")
@@ -529,10 +504,9 @@ def _complex_eq(x, y) -> bool:
 ZZ = Ring("integer", 0, 1, int, str, lambda s: int(s.strip()))
 QQ = Ring("rational", Fraction(0), Fraction(1), Fraction,
           str, lambda s: Fraction(s.strip()))
-GAUSS = Ring("gaussian", Gaussian(0), Gaussian(1), Gaussian,
-             fmt_gaussian, parse_gaussian)
-ROOT2 = Ring("root2", RootTwo(0), RootTwo(1), RootTwo, fmt_root2, parse_root2)
-POLY2 = Ring("poly2", Poly2(), Poly2.const(1), Poly2.const, fmt_poly2, parse_poly2)
+GAUSS = Ring("gaussian", Gaussian(0), Gaussian(1), Gaussian, str, parse_gaussian)
+ROOT2 = Ring("root2", RootTwo(0), RootTwo(1), RootTwo, str, parse_root2)
+POLY2 = Ring("poly2", Poly2(), Poly2.const(1), Poly2.const, str, parse_poly2)
 CC = Ring("complex", 0j, 1 + 0j, complex, fmt_complex, parse_complex, eq=_complex_eq)
 
 RINGS = {r.name: r for r in (ZZ, QQ, GAUSS, ROOT2, POLY2, CC)}

@@ -102,7 +102,7 @@ def _suite_cross(n_max: int, seed: int) -> SuiteReport:
         symbolic = generalized.k_general_symbolic(n)
         classical = generalized.specialize(symbolic, 1, -1)
         report.record(CheckReport.of_matrices(
-            classical, core.k_binsum(n).mat, n=n,
+            classical, core.k_reference(n), n=n,
             note="K(alpha, beta) at (1,-1) = K"))
     return report
 
@@ -162,13 +162,11 @@ def _suite_quaternion(n_max: int, seed: int) -> SuiteReport:
 def _random_quaternion(rng: random.Random, kind: str):
     """Four random coefficients num/den, num in -9..9 and den in 1..9.
 
-    Each component draws its numerator, then its denominator; the
-    numerators go over the lcm of the denominators, in lowest terms.
+    Each component draws its numerator, then its denominator.
     """
-    draws = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-    den = math.lcm(*(d for _, d in draws))
-    return quaternion._quaternion(
-        kind, (*(num * (den // d) for num, d in draws), den))
+    return quaternion.Quaternion(
+        kind, *[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(4)])
 
 
 def _suite_sympow(n_max: int, seed: int) -> SuiteReport:

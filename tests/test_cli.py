@@ -198,6 +198,18 @@ def test_snake_command(tmp_path, capsys):
     assert "viewBox" in svg
 
 
+def test_a_negative_phase_may_follow_phi_as_its_own_argument(tmp_path, capsys):
+    for command in (["gen", "phase", "--n", "3", "--format", "csv"],
+                    ["snake", "--n", "3", "--out", str(tmp_path)]):
+        outputs = []
+        for phi in (["--phi", "-pi/2"], ["--phi=-pi/2"]):
+            code, out, err = run_cli(capsys, *command, *phi)
+            assert code == 0, err
+            files = {p.name: p.read_text() for p in tmp_path.iterdir()}
+            outputs.append((out, files))
+        assert outputs[0] == outputs[1]
+
+
 def test_snake_builds_the_phase_matrix_once(tmp_path, capsys, monkeypatch):
     calls = []
     k_phase = generalized.k_phase

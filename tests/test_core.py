@@ -229,8 +229,9 @@ def test_checks_fail_on_a_corrupted_reference(corrupted_reference):
 def test_suite_failures_name_check_cell_and_sides(corrupted_reference):
     reports = verify.run_suites(["all"], n_max=4)
     assert {r.suite for r in reports if not r.ok} == {
-        "construction-equivalence", "involution", "macwilliams", "master",
-        "ortho", "pyramid", "spectral", "sympow"}
+        "construction-equivalence", "cross", "hadamard-reduction",
+        "involution", "macwilliams", "master", "ortho", "phase", "pyramid",
+        "spectral", "sympow"}
     for report in reports:
         keys = [(f["check"], f["n"]) for f in report.failures]
         assert len(keys) == len(set(keys)), report.suite

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from krawtchouk import quaternion as qt
+from krawtchouk.matrix import Matrix
 from krawtchouk.rings import (
     ALPHA,
     BETA,
@@ -131,6 +133,85 @@ def test_parse_edge_cases():
     assert parse_poly2("a^2b-2ab+1") == \
         Poly2({(2, 1): 1, (1, 1): -2, (0, 0): 1})
     assert parse_poly2("0") == Poly2()
+
+
+@pytest.mark.parametrize("text,value", [
+    ("i", Gaussian(0, 1)),
+    ("+i", Gaussian(0, 1)),
+    ("-2/3i", Gaussian(0, Fraction(-2, 3))),
+    ("1 + i", Gaussian(1, 1)),
+    ("+3i", Gaussian(0, 3)),
+    ("-5/7", Gaussian(Fraction(-5, 7))),
+    ("1 + √2", RootTwo(1, 1)),
+    ("+√2", RootTwo(0, 1)),
+    ("3sqrt2", RootTwo(0, 3)),
+    ("sqrt (2)", RootTwo(0, 1)),
+    ("2/4+6/8√2", RootTwo(Fraction(1, 2), Fraction(3, 4))),
+    ("-1/2√2", RootTwo(0, Fraction(-1, 2))),
+    ("1.5", RootTwo(Fraction(3, 2))),
+])
+def test_sum_literals_parse(text, value):
+    parse = parse_gaussian if isinstance(value, Gaussian) else parse_root2
+    assert parse(text) == value
+
+
+@pytest.mark.parametrize("parse,text", [
+    *((parse_gaussian, text) for text in
+      ("1+2+3i", "i2", "2ii", "1.5i", "--i", "3+-2i", "√2")),
+    *((parse_root2, text) for text in ("i", "1+2+3√2", "2√3")),
+    # text after the first √2 is part of the literal, not dropped
+    *((parse_root2, text) for text in ("2√2+7", "√2√2", "3-√2+99")),
+])
+def test_malformed_sum_literals_are_refused(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
+def test_matrix_json_refuses_text_after_the_root():
+    good = ('{"rows": 1, "cols": 2, "ring": "root2",'
+            ' "entries": [["3-√2", "1"]]}')
+    assert Matrix.from_json(good) == \
+        Matrix(ROOT2, [[RootTwo(3, -1), RootTwo(1)]])
+    with pytest.raises(ValueError):
+        Matrix.from_json(good.replace("3-√2", "3-√2+99"))
+
+
+# The exact text of each exact type: str, and ring.fmt where it has a ring.
+@pytest.mark.parametrize("value,text", [
+    (Gaussian(0), "0"),
+    (Gaussian(1), "1"),
+    (Gaussian(-1), "-1"),
+    (Gaussian(0, 1), "i"),
+    (Gaussian(0, -1), "-i"),
+    (Gaussian(Fraction(1, 2), -1), "1/2-i"),
+    (Gaussian(-3, 1), "-3+i"),
+    (Gaussian(Fraction(-1, 2), Fraction(5, 3)), "-1/2+5/3i"),
+    (Gaussian(0, Fraction(-2, 3)), "-2/3i"),
+    (RootTwo(0), "0"),
+    (RootTwo(0, 1), "√2"),
+    (RootTwo(1, -1), "1-√2"),
+    (RootTwo(0, Fraction(-2, 3)), "-2/3√2"),
+    (RootTwo(Fraction(-7, 4), 2), "-7/4+2√2"),
+    (RootTwo(Fraction(5, 2)), "5/2"),
+    (Poly2(), "0"),
+    (Poly2.const(-3), "-3"),
+    (ALPHA, "a"),
+    (-BETA, "-b"),
+    (Poly2({(2, 1): 1, (1, 1): -2, (0, 0): 1}), "a^2b-2ab+1"),
+    (Poly2({(0, 2): -1, (1, 0): 5, (0, 0): -1}), "-b^2+5a-1"),
+    (qt.split(), "0"),
+    (qt.split(-1), "-1"),
+    (qt.split(0, 0, -1, Fraction(5, 3)), "-F+5/3G"),
+    (qt.split(Fraction(1, 2), -1, 1, -1), "1/2-i+F-G"),
+    (qt.split(1, -1), "1-i"),
+    (qt.hamilton(0, 0, -1, -1), "-j-k"),
+    (qt.hamilton(0, 1), "i"),
+    (qt.hamilton(-2, Fraction(-1, 3), 0, 4), "-2-1/3i+4k"),
+])
+def test_exact_text(value, text):
+    assert str(value) == text
+    if not isinstance(value, qt.Quaternion):
+        assert ring_of(value).fmt(value) == text
 
 
 def assert_canonical(x):
