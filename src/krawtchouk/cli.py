@@ -11,12 +11,12 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import core, generalized, gf2, hadamard, pathsum, spectral, sympow, verify
 from .core import DEFAULT_ORDER_BOUND
 from .matrix import Matrix
+from .rings import parse_rational
 
 USAGE_ERROR = 2
 
@@ -108,7 +108,7 @@ def cmd_pathsum(args) -> int:
 
 
 def _parse_vector(text: str):
-    return [Fraction(part) for part in text.split(",")]
+    return [parse_rational(part) for part in text.split(",")]
 
 
 def cmd_transform(args) -> int:

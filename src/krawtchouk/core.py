@@ -139,11 +139,32 @@ def k_entry(n: int, p: int, q: int) -> int:
 
 
 def k_binsum(n: int) -> KrawtchoukMatrix:
-    """Krawtchouk matrix assembled entry by entry from the binomial sum."""
+    """Krawtchouk matrix assembled entry by entry from the binomial sum.
+
+    K_pq = sum_k (-1)^k C(q, k) C(n-q, p-k), with every binomial read from
+    rows 0..n of Pascal's triangle, built once by additions.  Column q
+    pairs the signed row q with row n-q reversed, so entry (p, q) is one
+    dot product of two slices.
+    """
     if n < 0:
         raise ValueError("order must be non-negative")
-    rows = [[k_entry(n, p, q) for q in range(n + 1)] for p in range(n + 1)]
-    return KrawtchoukMatrix(n, Matrix(ZZ, rows), "BinomialSum")
+    pascal = [[1]]
+    for _ in range(n):
+        row = pascal[-1]
+        pascal.append(list(map(operator.add, [0] + row, row + [0])))
+    cols = []
+    for q in range(n + 1):
+        signed = [-c if k % 2 else c for k, c in enumerate(pascal[q])]
+        # rest[n - q - p + k] = C(n-q, p-k)
+        rest = pascal[n - q][::-1]
+        col = []
+        for p in range(n + 1):
+            lo, hi = max(0, p - (n - q)), min(q, p) + 1
+            shift = n - q - p
+            col.append(sum(map(operator.mul, signed[lo:hi],
+                               rest[shift + lo:shift + hi])))
+        cols.append(col)
+    return KrawtchoukMatrix(n, Matrix(ZZ, zip(*cols)), "BinomialSum")
 
 
 def kac_matrix(n: int) -> Matrix:

@@ -7,8 +7,9 @@ collapses it back to the (n+1) x (n+1) symmetric Krawtchouk matrix.  The
 2^n x 2^n intermediate is never stored: H^kron(n) factors into n butterfly
 stages (the fast Walsh-Hadamard transform), applied in place, block by
 block.  All n+1 weight-class indicators ride through one O(n 2^n)
-transform as lanes of one Python integer per entry, so a single pass gives
-every column of class sums, exactly.
+transform as lanes of one Python integer per entry (the codec of
+:mod:`krawtchouk.lanes`), so a single pass gives every column of class
+sums, exactly.
 
 Stacking the Krawtchouk matrices by order forms a pyramid whose plane
 sections are Pascal-like triangles.  The four section families and their
@@ -32,6 +33,7 @@ from operator import add, sub
 
 from .core import KrawtchoukMatrix, genfunc_column, k_entry, k_reference
 from .generalized import cross_cells, padded_entries, trace_cells
+from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells
 from .rings import ZZ
 
@@ -115,46 +117,32 @@ def walsh_hadamard(vec) -> list:
     return out
 
 
-def _lane_bits(n: int) -> int:
-    """Lane width L with every |S_pq| <= C(n,p) C(n,q) below 2^L / 2."""
-    return (comb(n, n // 2) ** 2).bit_length() + 1
-
-
 def reduce_to_symmetric(n: int) -> Matrix:
     """Collapse H^kron(n) by weight classes; equals the symmetric matrix.
 
     S_{pq} = sum of H^kron entries over rows of weight p, columns of
     weight q.  All n+1 weight-class indicators go through one transform as
     lanes of one integer per entry: entry b is X^{w(b)} with X = 2^L wide
-    enough for every |S_pq| (see ``_lane_bits``), so lane q of row a's image
-    is that row's sum over the weight-q columns.  Summing the image over
-    each weight-p class of rows and reading the sum as n+1 balanced base-X
-    digits gives row p; a nonzero remainder means a lane overflowed and is
-    an error.  Every Sylvester entry still enters, in factored form; the
+    enough for every |S_pq| <= C(n,p) C(n,q) <= C(n, n/2)^2 (the width rule
+    of :func:`krawtchouk.lanes.lane_bits`), so lane q of row a's image is
+    that row's sum over the weight-q columns.  Summing the image over each
+    weight-p class of rows and decoding the sum's n+1 lanes gives row p; a
+    remainder above the last lane means a lane overflowed and is an
+    error.  Every Sylvester entry still enters, in factored form; the
     route shares no code with the generating function, so it stays an
     independent construction of the symmetric matrix.
     """
     if not 0 <= n <= REDUCE_BOUND:
         raise ValueError(f"reduction bound is 0..{REDUCE_BOUND}")
     labels = weight_labels(n).labels
-    bits = _lane_bits(n)
-    powers = [1 << (bits * q) for q in range(n + 1)]
+    lanes = Lanes(lane_bits(comb(n, n // 2) ** 2), n + 1)
+    powers = [1 << s for s in lanes.shifts]
     image = walsh_hadamard([powers[w] for w in labels])
     sums = [0] * (n + 1)
     for w, x in zip(labels, image):
         sums[w] += x
     del image  # free the packed entries before the result is built
-    mask, offset = (1 << bits) - 1, 1 << (bits - 1)
-    rows = []
-    for total in sums:
-        row = []
-        for _ in range(n + 1):
-            digit = ((total + offset) & mask) - offset
-            row.append(digit)
-            total = (total - digit) >> bits
-        if total:
-            raise AssertionError("a weight-class sum overflowed its lanes")
-        rows.append(row)
+    rows = [lanes.unpack(total) for total in sums]
     return Matrix(ZZ, rows)
 
 

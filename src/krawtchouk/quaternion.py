@@ -48,7 +48,7 @@ class Quaternion(_Lowest, components=("a", "b", "c", "d")):
         if kind not in (HAMILTON, SPLIT):
             raise ValueError(f"unknown quaternion kind {kind!r}")
         self._kind = kind
-        self._store((a, b, c, d), Fraction)
+        self._store((a, b, c, d))
 
     kind = property(lambda self: self._kind)
 

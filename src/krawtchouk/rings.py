@@ -39,13 +39,26 @@ COMPLEX_TOL = 1e-9  # per-component tolerance for the float ring
 _new = object.__new__
 
 
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator refused as ValueError.
+
+    Every rational text reader goes through here, so bad text, such as
+    ``1/0``, is a ValueError naming the text, as any other malformed
+    literal is.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rational(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -503,7 +516,7 @@ def _complex_eq(x, y) -> bool:
 
 ZZ = Ring("integer", 0, 1, int, str, lambda s: int(s.strip()))
 QQ = Ring("rational", Fraction(0), Fraction(1), Fraction,
-          str, lambda s: Fraction(s.strip()))
+          str, lambda s: parse_rational(s.strip()))
 GAUSS = Ring("gaussian", Gaussian(0), Gaussian(1), Gaussian, str, parse_gaussian)
 ROOT2 = Ring("root2", RootTwo(0), RootTwo(1), RootTwo, str, parse_root2)
 POLY2 = Ring("poly2", Poly2(), Poly2.const(1), Poly2.const, str, parse_poly2)

@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import k_reference, kac_matrix, lambda_matrix
+from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells
-from .rings import Poly2, POLY2, ring_of
+from .rings import Poly2, POLY2, ZZ, ring_of
 
 # A 2^n x 2^n power holds 4^n entries.  kron_power traced ~19 bytes per
 # entry at n = 6..10 (19.6 MB at n = 10), 4x more per order: ~5 GB at n = 14.
@@ -51,16 +52,27 @@ def _require_2x2(a: Matrix):
 def sym_group_power(a: Matrix, n: int) -> Matrix:
     """Symmetric n-th power of a group element (substitution action).
 
-    The powers of the first form are expanded once; column q starts from
-    the (n-q)-th of them and takes q more factors of the second form.
+    Column q is the product of the (n-q)-th power of the first linear form
+    and the q-th power of the second.  Over ``ZZ`` each form u x + v y
+    packs into the int u + v 2^L (Kronecker substitution, see
+    :mod:`krawtchouk.lanes`), so every power is a big-int product and
+    column q is the one product tops[n-q] * bots[q], decoded into n+1
+    lanes.  Every coefficient of column q is at most the product of the
+    forms' absolute coefficient sums, (|a|+|c|)^(n-q) (|b|+|d|)^q <= m^n
+    with m the larger sum, and that bound sets L.  Every other ring
+    expands the powers of the first form once, coefficient by coefficient,
+    and column q takes q more factors of the second form from the
+    (n-q)-th of them.
     """
     _require_2x2(a)
     if n < 0:
         raise ValueError("power must be non-negative")
     ring = a.ring
-    zero = ring.zero
     top = (a[0, 0], a[1, 0])      # A^T applied to (x, y): first output
     bot = (a[0, 1], a[1, 1])      # second output
+    if ring == ZZ:
+        return Matrix(ZZ, zip(*_packed_power_columns(top, bot, n)))
+    zero = ring.zero
     tops = [[ring.one]]           # coefficients in y-degree, i.e. e-index
     for _ in range(n):
         tops.append(_mul_linear_form(tops[-1], top, zero))
@@ -71,6 +83,19 @@ def sym_group_power(a: Matrix, n: int) -> Matrix:
             coeffs = _mul_linear_form(coeffs, bot, zero)
         cols.append(coeffs)
     return Matrix(ring, zip(*cols))
+
+
+def _packed_power_columns(top, bot, n: int) -> list:
+    """The columns top^(n-q) bot^q of an integer power, as packed products."""
+    m = max(abs(top[0]) + abs(top[1]), abs(bot[0]) + abs(bot[1]))
+    lanes = Lanes(lane_bits(m ** n), n + 1)
+    top_form = top[0] + (top[1] << lanes.bits)
+    bot_form = bot[0] + (bot[1] << lanes.bits)
+    tops, bots = [1], [1]
+    for _ in range(n):
+        tops.append(tops[-1] * top_form)
+        bots.append(bots[-1] * bot_form)
+    return [lanes.unpack(tops[n - q] * bots[q]) for q in range(n + 1)]
 
 
 def _mul_linear_form(coeffs, form, zero):

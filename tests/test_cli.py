@@ -289,6 +289,15 @@ def test_bad_angles_are_usage_errors(tmp_path, capsys, phi):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("flag", ["--vector", "--covector"])
+def test_transform_refuses_a_zero_denominator(capsys, flag):
+    code, out, err = run_cli(capsys, "transform", "--n", "2",
+                             flag, "1/0,1,1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "zero denominator in '1/0'"
+
+
 def test_transform_rejects_bad_length(capsys):
     code, _, err = run_cli(capsys, "transform", "--n", "3",
                            "--covector", "1,2")

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from krawtchouk import core, hadamard, sympow
+from krawtchouk.lanes import Lanes, lane_bits
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import ZZ
 
@@ -81,9 +82,54 @@ def test_reduce_equals_symmetric(n):
 
 def test_reduce_asserts_its_lanes_hold(monkeypatch):
     # 2-bit lanes at n = 6 overflow; the decode must refuse, not return
-    monkeypatch.setattr(hadamard, "_lane_bits", lambda n: 2)
+    monkeypatch.setattr(hadamard, "lane_bits", lambda bound: 2)
     with pytest.raises(AssertionError, match="overflowed"):
         hadamard.reduce_to_symmetric(6)
+
+
+BOUNDS = [0, 1, 2, 3, 7, 8, 255, 256, 2 ** 64 - 1, 2 ** 64, 10 ** 30]
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_lanes_round_trip_every_value_within_the_bound(bound):
+    rng = random.Random(bound)
+    for count in (1, 2, 5, 17):
+        lanes = Lanes(lane_bits(bound), count)
+        for values in ([bound] * count, [-bound] * count,
+                       [rng.randint(-bound, bound) for _ in range(count)],
+                       [(-1) ** q * bound for q in range(count)]):
+            packed = lanes.pack(values)
+            assert packed == sum(x << (lanes.bits * q)
+                                 for q, x in enumerate(values))
+            assert lanes.unpack(packed) == values
+        # fewer values than lanes leave the top lanes zero
+        assert lanes.unpack(lanes.pack([bound])) == [bound] + [0] * (count - 1)
+
+
+def test_lanes_carry_sums_and_products_of_their_values():
+    lanes = Lanes(lane_bits(3 * 5 * 4), 4)
+    rows = [[5, -3, 0, 1], [-2, 4, 1, 0], [0, 1, -5, 2]]
+    coeffs = [3, -4, 2]
+    total = sum(c * lanes.pack(row) for c, row in zip(coeffs, rows))
+    assert lanes.unpack(total) == [sum(c * row[q] for c, row in zip(coeffs, rows))
+                                   for q in range(4)]
+    # (1 - 2y)(3 + y + y^2) = 3 - 5y - y^2 - 2y^3
+    assert lanes.unpack(lanes.pack([1, -2]) * lanes.pack([3, 1, 1])) == \
+        [3, -5, -1, -2]
+
+
+@pytest.mark.parametrize("bound", [b for b in BOUNDS if b])
+def test_a_lane_one_bit_too_narrow_is_refused(bound):
+    narrow = lane_bits(bound) - 1
+    for count in (1, 3):
+        lanes = Lanes(narrow, count)
+        with pytest.raises(AssertionError, match="overflowed"):
+            lanes.unpack(lanes.pack([0] * (count - 1) + [bound]))
+
+
+def test_lanes_refuse_more_values_than_lanes():
+    with pytest.raises(ValueError, match="3 values for 2 lanes"):
+        Lanes(4, 2).pack([1, 2, 3])
 
 
 def test_reduce_keeps_one_generation_alive():

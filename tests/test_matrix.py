@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from krawtchouk import matrix
 from krawtchouk.matrix import CheckReport, Matrix, check_cells, vector_cells
 from krawtchouk.rings import (CC, GAUSS, Gaussian, POLY2, Poly2, QQ, ROOT2,
                               RootTwo, ZZ)
@@ -250,3 +251,74 @@ def test_mul_skips_only_exact_zeros_in_cc():
     tiny = Matrix(CC, [[1e-12 + 0j, 0j]])
     big = Matrix(CC, [[1e12 + 0j], [5 + 0j]])
     assert (tiny @ big)[0, 0] == 1 + 0j
+
+
+def integer_pairs(rng):
+    """(name, A, B) integer factors of every density class and shape."""
+    def fill(rows, cols, share, lo=-9, hi=9):
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        keep = set(rng.sample(cells, round(share * len(cells))))
+        return Matrix(ZZ, [[(rng.randint(lo, hi) or 1) if (i, j) in keep
+                            else 0 for j in range(cols)]
+                           for i in range(rows)])
+
+    big = 10 ** 30
+    yield "dense", fill(6, 6, 1), fill(6, 6, 1)
+    yield "half-dense", fill(6, 6, 0.5), fill(6, 6, 0.5)
+    yield "sparse", fill(6, 6, 0.2), fill(6, 6, 0.2)
+    yield "dense x sparse", fill(6, 6, 1), fill(6, 6, 0.2)
+    yield "sparse x dense", fill(6, 6, 0.2), fill(6, 6, 1)
+    yield "1x1", fill(1, 1, 1), fill(1, 1, 1)
+    yield "non-square", fill(3, 7, 1), fill(7, 2, 0.75)
+    yield "row times column", fill(1, 5, 1), fill(5, 1, 1)
+    yield "column times row", fill(5, 1, 1), fill(1, 5, 1)
+    yield "all-zero", Matrix.zeros(4, 3), fill(3, 4, 1)
+    yield "times all-zero", fill(4, 3, 1), Matrix.zeros(3, 4)
+    yield "10^30", fill(5, 4, 1, -big, big), fill(4, 6, 1, -big, big)
+    yield "+-10^30 extremes", Matrix(ZZ, [[big, -big], [-big, big]]), \
+        Matrix(ZZ, [[big, big], [-big, big]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_products_match_rational_products(seed):
+    # QQ never packs, so it is the generic sparsity-indexed product
+    rng = random.Random(3100 + seed)
+    for name, a, b in integer_pairs(rng):
+        product = a @ b
+        assert all(type(x) is int for row in product.data for x in row), name
+        assert product.map(Fraction, QQ) == \
+            a.map(Fraction, QQ) @ b.map(Fraction, QQ), name
+        assert product == naive_product(a, b), name
+
+
+def test_only_dense_integer_factors_are_packed(monkeypatch):
+    calls = []
+    packed_mul = Matrix._packed_mul
+
+    def spy(self, other):
+        calls.append((self.shape, other.shape))
+        return packed_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "_packed_mul", spy)
+    half = Matrix(ZZ, [[1, 0], [0, 1]])       # two of four entries nonzero
+    third = Matrix(ZZ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    full = Matrix(ZZ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert half @ half == half
+    assert len(calls) == 1
+    assert full @ third == full and third @ full == full
+    assert len(calls) == 1
+    assert full @ full == naive_product(full, full)
+    assert len(calls) == 2
+    rational = full.map(Fraction, QQ)
+    assert rational @ rational == naive_product(rational, rational)
+    assert len(calls) == 2
+
+
+def test_packed_product_asserts_its_lanes_hold(monkeypatch):
+    # every entry of A B is 14, the bound (row abs-sum 2) x (max |b| 7)
+    a = Matrix(ZZ, [[1, 1], [1, 1]])
+    b = Matrix(ZZ, [[7, 7], [7, 7]])
+    assert a @ b == Matrix(ZZ, [[14, 14], [14, 14]])
+    monkeypatch.setattr(matrix, "lane_bits", lambda bound: bound.bit_length())
+    with pytest.raises(AssertionError, match="overflowed"):
+        a @ b

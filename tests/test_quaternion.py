@@ -298,6 +298,19 @@ def test_foreign_operands_raise_type_error():
             foreign + qt.F
 
 
+@pytest.mark.parametrize("make", [qt.split, qt.hamilton])
+def test_float_coefficients_are_refused_like_the_other_exact_types(make):
+    for args in [(0.1,), (1, 0.5), (0, 0, 2.0), (0, 0, 0, -1e-3)]:
+        with pytest.raises(TypeError, match="exact rational"):
+            make(*args)
+    with pytest.raises(TypeError, match="exact rational"):
+        Gaussian(0.1)
+    # ints, Fractions and rational text read as before
+    q = make(3, Fraction(-1, 2), "5/3", "-2")
+    assert (q.a, q.b, q.c, q.d) == (3, Fraction(-1, 2), Fraction(5, 3), -2)
+    assert q == make(Fraction(3), "-1/2", Fraction(5, 3), -2)
+
+
 def test_values_are_read_only():
     for attr in ("kind", "a", "b", "c", "d"):
         with pytest.raises(AttributeError):

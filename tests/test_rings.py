@@ -24,6 +24,7 @@ from krawtchouk.rings import (
     parse_complex,
     parse_gaussian,
     parse_poly2,
+    parse_rational,
     parse_root2,
     ring_of,
     sqrt2_power,
@@ -174,6 +175,35 @@ def test_matrix_json_refuses_text_after_the_root():
         Matrix(ROOT2, [[RootTwo(3, -1), RootTwo(1)]])
     with pytest.raises(ValueError):
         Matrix.from_json(good.replace("3-√2", "3-√2+99"))
+
+
+@pytest.mark.parametrize("read,text", [
+    (parse_rational, "1/0"),
+    (parse_rational, "-3/0"),
+    (QQ.parse, " 1/0 "),
+    (parse_gaussian, "1/0i"),
+    (parse_gaussian, "2+1/0i"),
+    (parse_gaussian, "1/0"),
+    (parse_root2, "1/0√2"),
+    (parse_root2, "1/0+√2"),
+    (Gaussian, "5/0"),
+    (RootTwo, "5/0"),
+    (lambda text: qt.split(text), "1/0"),
+])
+def test_zero_denominators_are_value_errors_naming_the_text(read, text):
+    with pytest.raises(ValueError, match="zero denominator in '.*/0'"):
+        read(text)
+
+
+@pytest.mark.parametrize("ring,cell", [(QQ, "1/0"), (GAUSS, "1/0i"),
+                                       (ROOT2, "1/0√2")])
+def test_matrix_readers_refuse_zero_denominators(ring, cell):
+    payload = ('{"rows": 1, "cols": 2, "ring": "%s", "entries": [["1", "%s"]]}'
+               % (ring.name, cell))
+    with pytest.raises(ValueError, match="zero denominator"):
+        Matrix.from_json(payload)
+    with pytest.raises(ValueError, match="zero denominator"):
+        Matrix.from_csv(f"1,{cell}\n", ring)
 
 
 # The exact text of each exact type: str, and ring.fmt where it has a ring.

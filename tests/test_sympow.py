@@ -67,6 +67,45 @@ def test_hadamard_group_power_is_krawtchouk(n):
     assert sympow.sym_group_power(sympow.MAT_H, n) == core.k_genfunc(n).mat
 
 
+def test_integer_power_is_the_generic_rational_expansion():
+    # ZZ takes the packed big-int products; QQ still takes the expander
+    rng = random.Random(4200)
+    for n in range(41):
+        # zeros and negatives: a random matrix, then a zero diagonal, then
+        # a zero off-diagonal, in turn
+        m = rand2(rng, -9, 9)
+        if n % 3:
+            zeros = [(0, 0), (1, 1)] if n % 3 == 1 else [(0, 1), (1, 0)]
+            m = Matrix(ZZ, [[0 if (i, j) in zeros else m[i, j]
+                             for j in range(2)] for i in range(2)])
+        got = sympow.sym_group_power(m, n)
+        assert all(type(x) is int for row in got.data for x in row)
+        assert got.map(Fraction, QQ) == \
+            sympow.sym_group_power(m.map(Fraction, QQ), n), (m, n)
+
+
+def test_integer_power_of_the_zero_matrix():
+    zero = Matrix.zeros(2, 2)
+    assert sympow.sym_group_power(zero, 0) == Matrix.identity(1)
+    assert sympow.sym_group_power(zero, 3) == Matrix.zeros(4, 4)
+
+
+@pytest.mark.parametrize("n", [*range(17), 31, 32, 63, 64, 96, 128, 192,
+                               255, 256])
+def test_hadamard_power_is_the_reference_at_high_orders(n):
+    assert sympow.sym_group_power(sympow.MAT_H, n) == core.k_reference(n)
+
+
+def test_integer_power_asserts_its_lanes_hold(monkeypatch):
+    # column 5 of diag(2, 3)^(5) is 3^5 e_5, the bound m^n itself, in the
+    # top lane: one bit less must leave a remainder, not a wrong digit
+    diag = Matrix(ZZ, [[2, 0], [0, 3]])
+    assert sympow.sym_group_power(diag, 5)[5, 5] == 3 ** 5
+    monkeypatch.setattr(sympow, "lane_bits", lambda bound: bound.bit_length())
+    with pytest.raises(AssertionError, match="overflowed"):
+        sympow.sym_group_power(diag, 5)
+
+
 def test_group_power_of_special_elements():
     assert sympow.sym_group_power(Matrix.identity(2), 4) == Matrix.identity(5)
     assert sympow.sym_group_power(sympow.MAT_F, 3) == \
