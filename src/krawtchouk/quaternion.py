@@ -185,7 +185,8 @@ class MinkowskiVector:
         return split(0, self.t, self.x, self.y)
 
     def norm2(self) -> Fraction:
-        return Fraction(self.t) ** 2 - Fraction(self.x) ** 2 - Fraction(self.y) ** 2
+        """t^2 - x^2 - y^2; a float raises TypeError, as in as_quaternion."""
+        return self.as_quaternion().norm2()
 
     @staticmethod
     def of(q: Quaternion) -> "MinkowskiVector":

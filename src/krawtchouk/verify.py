@@ -6,10 +6,14 @@ wrapper.  Every identity is checked cell by cell through
 :func:`krawtchouk.matrix.check_cells`, so a failure names its check, the
 order n, the first bad cell and its two sides.  The location is [i, j] in a
 matrix, [i] in a vector and null for a scalar identity; a randomized check
-puts the index of its random instance first.  A suite keeps the first
-failure of each check and order.  Suites are deterministic: randomized ones
-derive everything from an explicit seed, and the report is ordered by suite
-name regardless of execution order.
+puts the index of its random instance first.  The quaternion suite proves
+its algebra identities on a basis, and a basis check puts the indices of
+its two basis elements first: 0..3 for the units 1, i, j (F), k (G) and
+4..9 for the sums e_a + e_b, a < b, in lexicographic order (4 = 1 + i,
+..., 9 = j + k).  A suite keeps the first failure of each check and order.
+Suites are deterministic: randomized ones derive everything from an
+explicit seed, and the report is ordered by suite name regardless of
+execution order.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, product
 from math import comb
 
 from . import core, gf2, generalized, hadamard, pathsum, quaternion, spectral, sympow
@@ -33,14 +37,19 @@ SPECTRAL_CAP = 10
 REDUCTION_CAP = 12
 KRON_CAP = 6
 RANDOM_SUBSPACES = 500
-RANDOM_QUATERNIONS = 1000
+RANDOM_QUATERNIONS = 32
 
 
-def _instance(t: int, report: CheckReport) -> CheckReport:
-    """A random instance's report, its index t first in the location."""
+def _instance(index: tuple, report: CheckReport) -> CheckReport:
+    """The report with an instance's index first in its location.
+
+    The index is (t,) for the t-th random instance and (s, t) for the pair
+    of basis elements s and t.
+    """
     if report.ok:
         return report
-    return dataclasses.replace(report, location=(t, *(report.location or ())))
+    return dataclasses.replace(report,
+                               location=(*index, *(report.location or ())))
 
 
 def _suite_construction(n_max: int, seed: int) -> SuiteReport:
@@ -140,23 +149,54 @@ def _suite_quaternion(n_max: int, seed: int) -> SuiteReport:
         + [(f"null vector {name}", [(None, vec.norm2(), 0)])
            for name, vec in (("R", r), ("L", l))]))
 
+    # The basis proves each identity for every rational pair, given that
+    # the implementation is bilinear over Q; the seeded rational draws,
+    # with their non-unit denominators, are what exercise that.
     rng = random.Random(seed)
     for kind_name, kind in (("hamilton", quaternion.HAMILTON),
                             ("split", quaternion.SPLIT)):
+        basis = _polarization_basis(kind)
+        for s, t in product(range(4), repeat=2):
+            report.record(_instance((s, t), check_cells(_bilinear_checks(
+                kind_name, "on the basis", basis[s], basis[t]))))
+        for s, t in product(range(len(basis)), repeat=2):
+            report.record(_instance((s, t), check_cells(_norm_checks(
+                kind_name, "on the basis", basis[s], basis[t]))))
         for t in range(RANDOM_QUATERNIONS):
             p = _random_quaternion(rng, kind)
             q = _random_quaternion(rng, kind)
-            pq = p * q
-            lhs = quaternion.to_matrix2(p) @ quaternion.to_matrix2(q)
-            report.record(_instance(t, check_cells([
-                (f"{kind_name} norm multiplicativity",
-                 [(None, pq.norm2(), p.norm2() * q.norm2())]),
-                (f"{kind_name} conjugation anti-hom",
-                 [(None, pq.conj(), q.conj() * p.conj())]),
-                (f"{kind_name} 2x2 homomorphism",
-                 lhs.cells(quaternion.to_matrix2(pq))),
-            ])))
+            report.record(_instance((t,), check_cells(
+                _norm_checks(kind_name, "at random", p, q)
+                + _bilinear_checks(kind_name, "at random", p, q))))
     return report
+
+
+def _polarization_basis(kind: str) -> list:
+    """The units e_0..e_3, then e_a + e_b for a < b in lexicographic order.
+
+    The bilinear identities need only the four units.  N(pq) - N(p) N(q)
+    is quadratic in each argument, and a quadratic form on Q^4 that
+    vanishes at all ten of these vanishes everywhere.
+    """
+    units = [quaternion.Quaternion(kind, *(int(a == b) for b in range(4)))
+             for a in range(4)]
+    return units + [units[a] + units[b] for a, b in combinations(range(4), 2)]
+
+
+def _norm_checks(kind_name: str, where: str, p, q) -> list:
+    """N(pq) = N(p) N(q)."""
+    return [(f"{kind_name} norm multiplicativity {where}",
+             [(None, (p * q).norm2(), p.norm2() * q.norm2())])]
+
+
+def _bilinear_checks(kind_name: str, where: str, p, q) -> list:
+    """conj(pq) = conj(q) conj(p) and the 2x2 image of pq."""
+    pq = p * q
+    lhs = quaternion.to_matrix2(p) @ quaternion.to_matrix2(q)
+    return [(f"{kind_name} conjugation anti-hom {where}",
+             [(None, pq.conj(), q.conj() * p.conj())]),
+            (f"{kind_name} 2x2 homomorphism {where}",
+             lhs.cells(quaternion.to_matrix2(pq)))]
 
 
 def _random_quaternion(rng: random.Random, kind: str):
@@ -187,7 +227,7 @@ def _suite_sympow(n_max: int, seed: int) -> SuiteReport:
             b = Matrix(ZZ, [[rng.randint(-4, 4) for _ in range(2)]
                             for _ in range(2)])
             alg_a, alg_b = algebra(a, n), algebra(b, n)
-            report.record(_instance(t, check_cells([
+            report.record(_instance((t,), check_cells([
                 ("functoriality",
                  group(a @ b, n).cells(group(a, n) @ group(b, n))),
                 ("additivity", algebra(a + b, n).cells(alg_a + alg_b)),
@@ -257,8 +297,8 @@ def _suite_macwilliams(n_max: int, seed: int) -> SuiteReport:
         # K (K char) = 2^n char, consistency with the involution
         k = core.k_reference(n)
         char = gf2.weight_character(space).as_list()
-        report.record(_instance(t, gf2.macwilliams_check(space)))
-        report.record(_instance(t, check_cells([
+        report.record(_instance((t,), gf2.macwilliams_check(space)))
+        report.record(_instance((t,), check_cells([
             ("dim W + dim W-perp = n", [(None, space.dim + perp.dim, n)]),
             ("double complement", [(None, gf2.complement(perp), space)]),
             ("K (K char) = 2^n char",

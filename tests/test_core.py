@@ -275,6 +275,64 @@ def test_quaternion_suite_names_the_cell_of_the_2x2_image(monkeypatch):
                        "location": [0, 1], "lhs": "-1", "rhs": "0"}
 
 
+def quaternion_failures():
+    report, = verify.run_suites(["quaternion"], n_max=1)
+    return {f["check"]: f for f in report.failures}
+
+
+def test_basis_check_names_the_unit_pair_of_a_wrong_square(monkeypatch):
+    # F^2 = -1 in the product while the 2x2 image of F still squares to I
+    monkeypatch.setattr(quaternion.Quaternion, "_square", lambda self: -1)
+    failures = quaternion_failures()
+    # units 0..3 are 1, i, F, G: the first failing pair is (F, F), and the
+    # cell is [0, 0] of image(F) image(F) = I against image(F F) = -I
+    assert failures["split 2x2 homomorphism on the basis"] == {
+        "n": None, "check": "split 2x2 homomorphism on the basis",
+        "location": [2, 2, 0, 0], "lhs": "1", "rhs": "-1"}
+    assert not any(check.startswith("hamilton") for check in failures)
+
+
+def test_basis_check_finds_a_cross_term_no_unit_pair_shows(monkeypatch):
+    real = quaternion.Quaternion._norm_numerator
+
+    def crossed(self):
+        _, b, c, _, _ = self._n
+        return real(self) + 2 * b * c
+
+    monkeypatch.setattr(quaternion.Quaternion, "_norm_numerator", crossed)
+    # every unit pair still multiplies norms: b c = 0 on units and their
+    # signed products, so a check on the units alone would pass
+    for kind in (quaternion.HAMILTON, quaternion.SPLIT):
+        units = verify._polarization_basis(kind)[:4]
+        assert all((p * q).norm2() == p.norm2() * q.norm2()
+                   for p in units for q in units)
+    failures = quaternion_failures()
+    for kind in ("hamilton", "split"):
+        failure = failures[f"{kind} norm multiplicativity on the basis"]
+        # i (1 + G) = i - F: the unit i times the polarization point 1 + G
+        assert failure["location"] == [1, 6]
+
+
+def test_only_the_rational_sample_sees_a_product_that_is_not_bilinear(
+        monkeypatch):
+    real = quaternion.Quaternion.__mul__
+
+    def corrupted(self, other):
+        product = real(self, other)
+        if (isinstance(other, quaternion.Quaternion)
+                and self._n[4] > 1 and other._n[4] > 1):
+            return product + 1
+        return product
+
+    monkeypatch.setattr(quaternion.Quaternion, "__mul__", corrupted)
+    failures = quaternion_failures()
+    # every basis element has denominator 1, so the basis passes
+    assert not any(check.endswith("on the basis") for check in failures)
+    for kind in ("hamilton", "split"):
+        t, = failures[f"{kind} norm multiplicativity at random"]["location"]
+        assert 0 <= t < verify.RANDOM_QUATERNIONS
+
+
 def test_constructions_never_read_the_reference(monkeypatch, capsys):
     def refuse(n):
         raise RuntimeError("construction read the reference")

@@ -198,6 +198,17 @@ def test_minkowski_vector_view():
         qt.MinkowskiVector.of(qt.split(1, 1, 0, 0))
 
 
+def test_minkowski_norm_refuses_floats_like_its_quaternion():
+    v = qt.MinkowskiVector(0.1, 0, 0)
+    for view in (v.as_quaternion, v.norm2):
+        with pytest.raises(TypeError, match="exact rational"):
+            view()
+    # exact inputs keep t^2 - x^2 - y^2, ints, Fractions and text alike
+    w = qt.MinkowskiVector(Fraction(1, 2), -3, "2/3")
+    assert w.norm2() == Fraction(1, 4) - 9 - Fraction(4, 9)
+    assert type(w.norm2()) is Fraction
+
+
 # Literal unit tables: TABLES[kind][u][v] is the product of units u and v,
 # rows and columns in the order (1, i, j, k) or (1, i, F, G).
 UNITS = {qt.HAMILTON: ("1", "i", "j", "k"), qt.SPLIT: ("1", "i", "F", "G")}
