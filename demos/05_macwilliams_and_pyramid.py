@@ -19,10 +19,10 @@ from krawtchouk import (
 
 w = subspace_from(["110"], 3)
 perp = complement(w)
-print("W      =", w, "   char:", weight_character(w).as_list())
-print("W-perp =", perp, "   char:", weight_character(perp).as_list())
+print("W      =", w, "   char:", weight_character(w))
+print("W-perp =", perp, "   char:", weight_character(perp))
 print("K * char(W) =", k_genfunc(3).mat.mul_vector(
-    weight_character(w).as_list()))
+    weight_character(w)))
 print("2^dim(W) * char(W-perp) matches:", bool(macwilliams_check(w)))
 
 rng = random.Random(0)

@@ -88,7 +88,6 @@ from .spectral import (
 from .sympow import (
     box_power,
     kron_power,
-    sl2_operator,
     sym_algebra_power,
     sym_group_power,
 )

@@ -71,22 +71,15 @@ class KrawtchoukMatrix:
         return NotImplemented
 
 
-def poly_mul(p: list, q: list) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def genfunc_column(n: int, q: int) -> list:
-    """Coefficients of (1+t)^(n-q) (1-t)^q, lowest degree first."""
+    """Coefficients of (1+t)^(n-q) (1-t)^q, lowest degree first.
+
+    Each factor is one Pascal step on the coefficient list c: times 1+t
+    is c + t c, times 1-t is c - t c.
+    """
     coeffs = [1]
-    for _ in range(n - q):
-        coeffs = poly_mul(coeffs, [1, 1])
-    for _ in range(q):
-        coeffs = poly_mul(coeffs, [1, -1])
+    for step in [operator.add] * (n - q) + [operator.sub] * q:
+        coeffs = list(map(step, coeffs + [0], [0] + coeffs))
     return coeffs
 
 

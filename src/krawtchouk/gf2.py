@@ -132,24 +132,12 @@ def complement(space: BinarySubspace) -> BinarySubspace:
     return BinarySubspace(n, _rref(kernel, n))
 
 
-@dataclass(frozen=True)
-class WeightCharacter:
-    """counts[i] = number of subspace vectors of Hamming weight i."""
-
-    counts: tuple
-
-    def __getitem__(self, i):
-        return self.counts[i]
-
-    def as_list(self):
-        return list(self.counts)
-
-
-def weight_character(space: BinarySubspace) -> WeightCharacter:
+def weight_character(space: BinarySubspace) -> list:
+    """counts[i] = number of vectors of the subspace of Hamming weight i."""
     counts = [0] * (space.n + 1)
     for vec in space.vectors():
         counts[vec.bit_count()] += 1
-    return WeightCharacter(tuple(counts))
+    return counts
 
 
 MACWILLIAMS = "2^dim(W) char(W-perp) = K char(W)"
@@ -165,8 +153,8 @@ def _macwilliams_cells(space: BinarySubspace):
     if n > CHECK_BOUND:
         raise ValueError(f"MacWilliams check bound is n <= {CHECK_BOUND}")
     perp = complement(space)
-    lhs = [2 ** space.dim * c for c in weight_character(perp).counts]
-    rhs = k_reference(n).mul_vector(weight_character(space).as_list())
+    lhs = [2 ** space.dim * c for c in weight_character(perp)]
+    rhs = k_reference(n).mul_vector(weight_character(space))
     return vector_cells(lhs, rhs)
 
 
@@ -181,7 +169,7 @@ def coordinate_subspace_note(space: BinarySubspace) -> CheckReport:
         raise ValueError("subspace is not spanned by standard basis vectors")
     k = space.dim
     n = space.n
-    char = weight_character(space).as_list()
+    char = weight_character(space)
     return check_cells([
         ("char(W) = b^(dim W)", vector_cells(char, binomial_vector(n, k))),
         ("K b^(k) = 2^k b^(n-k)",

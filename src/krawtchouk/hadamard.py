@@ -44,23 +44,11 @@ BLOCK_BITS = 10  # 2^10 entries per block of the in-place transform
 DIRECTIONS = ("west-down", "east-down", "north-up", "south-up")
 
 
-@dataclass(frozen=True)
-class WeightLabeling:
-    """Binary weights w(k) for k = 0..2^n - 1, built by the doubling rule."""
+def weight_labels(n: int) -> list:
+    """The binary weights w(k), k = 0..2^n - 1, as a list.
 
-    n: int
-    labels: tuple
-
-    def classes(self):
-        """index lists grouped by weight: classes()[p] = sorted w^{-1}(p)."""
-        out = [[] for _ in range(self.n + 1)]
-        for idx, w in enumerate(self.labels):
-            out[w].append(idx)
-        return out
-
-
-def weight_labels(n: int) -> WeightLabeling:
-    """w(0) = 0 and w(2^m + k) = w(k) + 1; cross-checked against popcount."""
+    w(0) = 0 and w(2^m + k) = w(k) + 1; cross-checked against popcount.
+    """
     if not 0 <= n <= REDUCE_BOUND:
         raise ValueError(f"weight labeling bound is 0..{REDUCE_BOUND}")
     labels = [0]
@@ -69,7 +57,7 @@ def weight_labels(n: int) -> WeightLabeling:
     for idx in range(0, len(labels), max(1, len(labels) // 64)):
         if labels[idx] != idx.bit_count():
             raise AssertionError("doubling recursion disagrees with popcount")
-    return WeightLabeling(n, tuple(labels))
+    return labels
 
 
 def _rotating_butterflies(part: list) -> list:
@@ -134,7 +122,7 @@ def reduce_to_symmetric(n: int) -> Matrix:
     """
     if not 0 <= n <= REDUCE_BOUND:
         raise ValueError(f"reduction bound is 0..{REDUCE_BOUND}")
-    labels = weight_labels(n).labels
+    labels = weight_labels(n)
     lanes = Lanes(lane_bits(comb(n, n // 2) ** 2), n + 1)
     powers = [1 << s for s in lanes.shifts]
     image = walsh_hadamard([powers[w] for w in labels])
@@ -226,43 +214,30 @@ def pyramid_plane(direction: str, depth: int, rows: int) -> PyramidPlane:
         raise ValueError("need at least one row")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    if direction == "west-down":
-        # seed: last column of K^(depth); rule: new[i] = old[i-1] + old[i]
-        row = genfunc_column(depth, depth)
-        out = [row]
+    if direction in ("west-down", "east-down"):
+        # seed: the last (west) or first (east) column of K^(depth); rule:
+        # new[i] = old[i] + old[i-1] (west) or old[i] - old[i-1] (east)
+        west = direction == "west-down"
+        rule = add if west else sub
+        out = [genfunc_column(depth, depth if west else 0)]
         for _ in range(rows - 1):
-            row = [(row[i - 1] if i > 0 else 0) + (row[i] if i < len(row) else 0)
-                   for i in range(len(row) + 1)]
-            out.append(row)
-    elif direction == "east-down":
-        # seed: first column of K^(depth); rule: new[i] = old[i] - old[i-1]
-        row = [comb(depth, i) for i in range(depth + 1)]
-        out = [row]
-        for _ in range(rows - 1):
-            row = [(row[i] if i < len(row) else 0) - (row[i - 1] if i > 0 else 0)
-                   for i in range(len(row) + 1)]
-            out.append(row)
+            out.append(list(map(rule, out[-1] + [0], [0] + out[-1])))
     elif direction in ("north-up", "south-up"):
-        top_order = depth + rows - 1
-        if direction == "north-up":
-            base = [k_entry(top_order, depth, q) for q in range(top_order + 1)]
-        else:
-            base = [k_entry(top_order, top_order - depth, q)
-                    for q in range(top_order + 1)]
-        out = [base]
-        row = base
+        # seed: row depth (north) or n - depth (south) of K^(n), n = depth +
+        # rows - 1; rule: up[i] = (old[i] + old[i+1]) / 2 (north) or
+        # (old[i] - old[i+1]) / 2 (south)
+        order = depth + rows - 1
+        north = direction == "north-up"
+        rule = add if north else sub
+        p = depth if north else order - depth
+        out = [[k_entry(order, p, q) for q in range(order + 1)]]
         for _ in range(rows - 1):
-            nxt = []
-            for i in range(len(row) - 1):
-                total = row[i] + row[i + 1] if direction == "north-up" \
-                    else row[i] - row[i + 1]
-                if total % 2:
-                    raise AssertionError(
-                        "parity broke: adjacent entries of a Krawtchouk row "
-                        "always share parity")
-                nxt.append(total // 2)
-            out.append(nxt)
-            row = nxt
+            totals = list(map(rule, out[-1], out[-1][1:]))
+            if any(total % 2 for total in totals):
+                raise AssertionError(
+                    "parity broke: adjacent entries of a Krawtchouk row "
+                    "always share parity")
+            out.append([total // 2 for total in totals])
         out.reverse()
     else:
         raise ValueError(f"unknown direction {direction!r}; "

@@ -172,8 +172,6 @@ class Matrix:
     __sub__ = sub
 
     def scale(self, c) -> "Matrix":
-        if isinstance(c, int):
-            c = self.ring.coerce(c)
         return Matrix(self.ring, [[c * x for x in row] for row in self.data])
 
     def __rmul__(self, c):

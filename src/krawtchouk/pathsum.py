@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import comb
 
@@ -95,48 +94,23 @@ def _word(n: int, l_positions) -> str:
     return "".join(letters)
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """The C(n,p) paths from the apex to position p, with phase parameters."""
-
-    n: int
-    p: int
-    q: int
-    alpha: object
-    beta: object
-
-    def __post_init__(self):
-        if not (0 <= self.p <= self.n and 0 <= self.q <= self.n):
-            raise ValueError("p and q must lie in 0..n")
-
-    @property
-    def count(self) -> int:
-        return comb(self.n, self.p)
-
-    def words(self):
-        return words_to(self.n, self.p)
-
-    def total_weight(self):
-        """Every path tallied by r, its right steps in the window, then weighed.
-
-        A path is the tuple of its n-p positions of L, drawn in the order
-        of ``words``; ``bisect_left`` counts those below q, so the path has
-        r = q - that count right steps in the window.
-        """
-        n, p, q = self.n, self.p, self.q
-        require_enumerable(n, p)
-        l_below = Counter(map(bisect_left, combinations(range(n), n - p),
-                              repeat(q)))
-        by_r = [0] * (p + 1)
-        for below, count in l_below.items():
-            by_r[q - below] = count
-        return _weigh(by_r, _class_weights(self.alpha, self.beta, p),
-                      ring_of(self.alpha).zero)
-
-
 def path_sum(n: int, p: int, q: int, alpha=1, beta=-1):
-    """Sum of path weights over all words reaching p; equals K^(n)_{pq}(a,b)."""
-    return PathEnsemble(n, p, q, alpha, beta).total_weight()
+    """Sum of path weights over all words reaching p; equals K^(n)_{pq}(a,b).
+
+    Every path is tallied by r, its right steps in the window, then
+    weighed.  A path is the tuple of its n-p positions of L, drawn in the
+    order of ``words_to``; ``bisect_left`` counts those below q, so the
+    path has r = q - that count right steps in the window.
+    """
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise ValueError("p and q must lie in 0..n")
+    require_enumerable(n, p)
+    l_below = Counter(map(bisect_left, combinations(range(n), n - p),
+                          repeat(q)))
+    by_r = [0] * (p + 1)
+    for below, count in l_below.items():
+        by_r[q - below] = count
+    return _weigh(by_r, _class_weights(alpha, beta, p), ring_of(alpha).zero)
 
 
 def oracle_matrix(n: int, alpha=1, beta=-1) -> Matrix:
@@ -212,6 +186,14 @@ def twiston_energy(n: int, q: int, p: int) -> int:
 
 
 def partition_check(n: int) -> bool:
-    """Every one of the 2^n words lands at exactly one position."""
-    return sum(PathEnsemble(n, p, 0, 1, -1).count
-               for p in range(n + 1)) == 2 ** n
+    """Every one of the 2^n words lands at exactly one position.
+
+    The words are swept as n-bit integers, a set bit for each R, and
+    counted by their position p, the number of R's: position p must
+    receive C(n,p) of them.
+    """
+    if not 0 <= n <= ENUM_BOUND_NUMERIC:
+        raise ValueError(f"order {n} is outside the 2^n enumeration bound "
+                         f"0..{ENUM_BOUND_NUMERIC}")
+    by_position = Counter(map(int.bit_count, range(2 ** n)))
+    return all(by_position[p] == comb(n, p) for p in range(n + 1))

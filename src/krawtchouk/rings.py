@@ -490,11 +490,10 @@ def parse_complex(s: str) -> complex:
 class Ring:
     """Descriptor tying together the constants and codecs of one scalar ring."""
 
-    def __init__(self, name, zero, one, coerce, fmt, parse, eq=None):
+    def __init__(self, name, zero, one, fmt, parse, eq=None):
         self.name = name
         self.zero = zero
         self.one = one
-        self.coerce = coerce  # int -> ring element
         self.fmt = fmt
         self.parse = parse
         self.eq = eq if eq is not None else (lambda x, y: x == y)
@@ -514,13 +513,13 @@ def _complex_eq(x, y) -> bool:
     return abs(x.real - y.real) <= COMPLEX_TOL and abs(x.imag - y.imag) <= COMPLEX_TOL
 
 
-ZZ = Ring("integer", 0, 1, int, str, lambda s: int(s.strip()))
-QQ = Ring("rational", Fraction(0), Fraction(1), Fraction,
-          str, lambda s: parse_rational(s.strip()))
-GAUSS = Ring("gaussian", Gaussian(0), Gaussian(1), Gaussian, str, parse_gaussian)
-ROOT2 = Ring("root2", RootTwo(0), RootTwo(1), RootTwo, str, parse_root2)
-POLY2 = Ring("poly2", Poly2(), Poly2.const(1), Poly2.const, str, parse_poly2)
-CC = Ring("complex", 0j, 1 + 0j, complex, fmt_complex, parse_complex, eq=_complex_eq)
+ZZ = Ring("integer", 0, 1, str, lambda s: int(s.strip()))
+QQ = Ring("rational", Fraction(0), Fraction(1), str,
+          lambda s: parse_rational(s.strip()))
+GAUSS = Ring("gaussian", Gaussian(0), Gaussian(1), str, parse_gaussian)
+ROOT2 = Ring("root2", RootTwo(0), RootTwo(1), str, parse_root2)
+POLY2 = Ring("poly2", Poly2(), Poly2.const(1), str, parse_poly2)
+CC = Ring("complex", 0j, 1 + 0j, fmt_complex, parse_complex, eq=_complex_eq)
 
 RINGS = {r.name: r for r in (ZZ, QQ, GAUSS, ROOT2, POLY2, CC)}
 

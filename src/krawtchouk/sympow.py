@@ -24,8 +24,6 @@ unsymmetrized comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import k_reference, kac_matrix, lambda_matrix
 from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells
@@ -117,6 +115,10 @@ def sym_algebra_power(a: Matrix, n: int) -> Matrix:
         entry (q-1, q) = be * q
         entry (q,   q) = al * (n-q) + de * q
         entry (q+1, q) = ga * (n-q)
+
+    So F gives x dy + y dx, G the number operator x dx - y dy, the
+    lowering matrix [[0,1],[0,0]] x dy, the raising matrix [[0,0],[1,0]]
+    y dx, and the image of i, [[0,1],[-1,0]], x dy - y dx.
     """
     _require_2x2(a)
     if n < 0:
@@ -125,11 +127,11 @@ def sym_algebra_power(a: Matrix, n: int) -> Matrix:
     al, be, ga, de = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
     out = [[ring.zero] * (n + 1) for _ in range(n + 1)]
     for q in range(n + 1):
-        out[q][q] = al * ring.coerce(n - q) + de * ring.coerce(q)
+        out[q][q] = al * (n - q) + de * q
         if q > 0:
-            out[q - 1][q] = be * ring.coerce(q)
+            out[q - 1][q] = be * q
         if q < n:
-            out[q + 1][q] = ga * ring.coerce(n - q)
+            out[q + 1][q] = ga * (n - q)
     return Matrix(ring, out)
 
 
@@ -148,32 +150,6 @@ def sym_algebra_power_by_derivative(a: Matrix, n: int) -> Matrix:
     ])
     power = sym_group_power(curve, n)
     return power.map(lambda p: p.terms.get((1, 0), 0), ring_of(a[0, 0]))
-
-
-@dataclass(frozen=True)
-class Sl2Operator:
-    """First-order operator c_xx x dx + c_xy x dy + c_yx y dx + c_yy y dy."""
-
-    c_xx: object
-    c_xy: object
-    c_yx: object
-    c_yy: object
-
-    def matrix(self, n: int) -> Matrix:
-        mat2 = Matrix.from_rows([[self.c_xx, self.c_xy],
-                                 [self.c_yx, self.c_yy]])
-        return sym_algebra_power(mat2, n)
-
-
-def sl2_operator(a: Matrix) -> Sl2Operator:
-    """Operator dictionary [[al,be],[ga,de]] -> al x dx + be x dy + ga y dx + de y dy.
-
-    F -> x dy + y dx, G -> x dx - y dy (number operator), the lowering
-    matrix [[0,1],[0,0]] -> x dy, the raising matrix [[0,0],[1,0]] -> y dx,
-    and the image of i, [[0,1],[-1,0]], -> x dy - y dx.
-    """
-    _require_2x2(a)
-    return Sl2Operator(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
 
 
 def require_kron_order(n: int) -> None:

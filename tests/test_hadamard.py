@@ -13,12 +13,12 @@ from krawtchouk.rings import ZZ
 
 
 def test_weight_labels_doubling():
-    assert hadamard.weight_labels(3).labels == (0, 1, 1, 2, 1, 2, 2, 3)
-    assert hadamard.weight_labels(0).labels == (0,)
+    assert hadamard.weight_labels(3) == [0, 1, 1, 2, 1, 2, 2, 3]
+    assert hadamard.weight_labels(0) == [0]
     w5 = hadamard.weight_labels(5)
-    assert [len(c) for c in w5.classes()] == [comb(5, p) for p in range(6)]
+    assert [w5.count(p) for p in range(6)] == [comb(5, p) for p in range(6)]
     for n in range(8):
-        labels = hadamard.weight_labels(n).labels
+        labels = hadamard.weight_labels(n)
         assert all(labels[k] == k.bit_count() for k in range(2 ** n))
     with pytest.raises(ValueError):
         hadamard.weight_labels(hadamard.REDUCE_BOUND + 1)
@@ -276,3 +276,13 @@ def test_plane_errors_and_csv():
         hadamard.pyramid_plane("west-down", 0, 0)
     plane = hadamard.pyramid_plane("west-down", 0, 3)
     assert plane.to_csv() == "1\n1,1\n1,2,1\n"
+
+
+@pytest.mark.parametrize("direction", ["north-up", "south-up"])
+def test_up_planes_refuse_a_row_of_mixed_parity(monkeypatch, direction):
+    # a bottom row 0, 1, 2, ... has odd neighbour sums and differences
+    monkeypatch.setattr(hadamard, "k_entry", lambda n, p, q: q)
+    with pytest.raises(AssertionError, match="parity broke"):
+        hadamard.pyramid_plane(direction, 0, 3)
+    # one row takes no halving step, so nothing is refused
+    assert hadamard.pyramid_plane(direction, 2, 1).rows == ((0, 1, 2),)

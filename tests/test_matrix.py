@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from krawtchouk import matrix
+from krawtchouk import matrix, sympow
 from krawtchouk.matrix import CheckReport, Matrix, check_cells, vector_cells
-from krawtchouk.rings import (CC, GAUSS, Gaussian, POLY2, Poly2, QQ, ROOT2,
-                              RootTwo, ZZ)
+from krawtchouk.rings import (CC, GAUSS, Gaussian, POLY2, Poly2, QQ, RINGS,
+                              ROOT2, RootTwo, ZZ)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -170,6 +170,24 @@ def test_json_round_trip_all_rings():
     ]
     for mat in mats:
         assert Matrix.from_json(mat.to_json()) == mat
+
+
+# one element of each ring that is neither zero nor one
+SAMPLES = {"integer": 2, "rational": Fraction(1, 2), "gaussian": Gaussian(1, 2),
+           "root2": RootTwo(1, 1), "poly2": Poly2.gen_a(), "complex": 1 + 2j}
+
+
+@pytest.mark.parametrize("ring", list(RINGS.values()), ids=lambda r: r.name)
+def test_int_factors_keep_the_ring_element_type(ring):
+    # every ring element, and complex, multiplies by a Python int directly
+    x = SAMPLES[ring.name]
+    a = Matrix(ring, [[x, ring.zero], [ring.one, x + ring.one]])
+    scaled = a.scale(3)
+    assert scaled.data == tuple(tuple(y + y + y for y in row)
+                                for row in a.data)
+    algebra = sympow.sym_algebra_power(a, 3)
+    for mat in (scaled, algebra):
+        assert all(type(y) is type(ring.one) for row in mat.data for y in row)
 
 
 def test_csv_round_trip():

@@ -36,13 +36,20 @@ def test_path_sum_values():
 def test_ensemble_counts_partition():
     for n in range(1, 13):
         assert pathsum.partition_check(n)
-    ens = pathsum.PathEnsemble(5, 2, 3, 1, -1)
-    words = list(ens.words())
-    assert len(words) == ens.count == 10
+    words = list(pathsum.words_to(5, 2))
+    assert len(words) == math.comb(5, 2) == 10
     assert words == sorted(words)
     assert all(w.count("R") == 2 for w in words)
     with pytest.raises(ValueError):
-        pathsum.PathEnsemble(3, 4, 0, 1, -1)
+        pathsum.path_sum(3, 4, 0)
+    with pytest.raises(ValueError):
+        pathsum.path_sum(3, 1, 4)
+
+
+def test_partition_check_refuses_orders_it_cannot_sweep():
+    for n in (pathsum.ENUM_BOUND_NUMERIC + 1, -1):
+        with pytest.raises(ValueError, match="enumeration bound"):
+            pathsum.partition_check(n)
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -134,8 +141,6 @@ def test_enumerations_refuse_before_any_work(monkeypatch):
     for n, p in ((24, 12), (40, 6), (10 ** 9, 5 * 10 ** 8)):
         with pytest.raises(ValueError, match="enumeration bound"):
             pathsum.path_sum(n, p, 0)
-        with pytest.raises(ValueError, match="enumeration bound"):
-            pathsum.PathEnsemble(n, p, 1, 1, -1).total_weight()
         with pytest.raises(ValueError, match="enumeration bound"):
             pathsum.words_to(n, p)
         with pytest.raises(ValueError, match="enumeration bound"):

@@ -158,22 +158,29 @@ def test_derivative_route_agrees_with_dictionary():
                 sympow.sym_algebra_power(a, n)
 
 
-def test_sl2_operator_dictionary():
-    op = sympow.sl2_operator(sympow.MAT_G)
-    assert (op.c_xx, op.c_xy, op.c_yx, op.c_yy) == (1, 0, 0, -1)
-    assert sympow.sl2_operator(Matrix.zeros(2, 2)).matrix(3) == \
-        Matrix.zeros(4, 4)
-    lop = sympow.sl2_operator(sympow.MAT_L)
-    assert (lop.c_xx, lop.c_xy, lop.c_yx, lop.c_yy) == (0, 1, 0, 0)
-    rop = sympow.sl2_operator(sympow.MAT_R)
-    assert (rop.c_xx, rop.c_xy, rop.c_yx, rop.c_yy) == (0, 0, 1, 0)
-    fop = sympow.sl2_operator(sympow.MAT_F)
-    assert (fop.c_xx, fop.c_xy, fop.c_yx, fop.c_yy) == (0, 1, 1, 0)
+def test_algebra_power_operator_dictionary():
+    n = 3
+    g_alg = sympow.sym_algebra_power(sympow.MAT_G, n)
+    assert g_alg == Matrix.diag([n - 2 * q for q in range(n + 1)])
+    assert sympow.sym_algebra_power(Matrix.zeros(2, 2), n) == \
+        Matrix.zeros(n + 1, n + 1)
+
+    def ladders(a):
+        """(superdiagonal, subdiagonal, diagonal) of the operator of a."""
+        m = sympow.sym_algebra_power(a, n)
+        return ([m[q - 1, q] for q in range(1, n + 1)],
+                [m[q + 1, q] for q in range(n)],
+                [m[q, q] for q in range(n + 1)])
+
+    up = list(range(1, n + 1))                  # x dy: e_q -> q e_(q-1)
+    down = [n - q for q in range(n)]            # y dx: e_q -> (n-q) e_(q+1)
+    zero_off, zero_diag = [0] * n, [0] * (n + 1)
+    assert ladders(sympow.MAT_L) == (up, zero_off, zero_diag)
+    assert ladders(sympow.MAT_R) == (zero_off, down, zero_diag)
+    assert ladders(sympow.MAT_F) == (up, down, zero_diag)
     # the image of i: the dictionary and the displayed matrix force
     # x dy - y dx (the sign printed next to the dictionary is a known slip)
-    bop = sympow.sl2_operator(sympow.MAT_B)
-    assert (bop.c_xx, bop.c_xy, bop.c_yx, bop.c_yy) == (0, 1, -1, 0)
-    assert bop.matrix(3) == sympow.sym_algebra_power(sympow.MAT_B, 3)
+    assert ladders(sympow.MAT_B) == (up, [-d for d in down], zero_diag)
 
 
 def test_ladder_factors():
