@@ -22,8 +22,7 @@ from krawtchouk import (
 from krawtchouk.quaternion import F, G, H, I_S, isotropic_basis
 from krawtchouk.sympow import MAT_F, MAT_G, MAT_H
 
-ok, fh, hg = jhhk_check()
-print("F H =", fh, "   H G =", hg, "   equal:", ok)
+print("F H =", F * H, "   H G =", H * G, "   equal:", jhhk_check().ok)
 print("as 2x2 matrices, F H:")
 print(to_matrix2(F * H).pretty())
 

@@ -34,13 +34,13 @@ for _ in range(200):
 print("\n200 random subspaces of Z2^n, n <= 12, all pass:", all_ok)
 
 print("\nThe west wall of the pyramid is Pascal's triangle:")
-for row in pyramid_plane("west-down", 0, 6).rows:
+for row in pyramid_plane("west-down", 0, 6):
     print("  " + " ".join(str(x) for x in row))
 
 print("\nOne level in, the Pascal rule keeps running on Krawtchouk columns:")
-for row in pyramid_plane("west-down", 1, 6).rows:
+for row in pyramid_plane("west-down", 1, 6):
     print("  " + " ".join(str(x) for x in row))
 
 print("\nThe south wall alternates signs; its rule is the half-difference:")
-for row in pyramid_plane("south-up", 2, 6).rows:
+for row in pyramid_plane("south-up", 2, 6):
     print("  " + " ".join(str(x) for x in row))

@@ -154,11 +154,12 @@ def cmd_macwilliams(args) -> int:
 def cmd_pyramid(args) -> int:
     plane = hadamard.pyramid_plane(args.direction, args.depth, args.rows)
     if args.format == "csv":
-        print(plane.to_csv().rstrip("\n"))
+        for row in plane:
+            print(",".join(str(x) for x in row))
     else:
-        width = max(len(str(x)) for row in plane.rows for x in row) + 1
-        total = len(plane.rows[-1])
-        for row in plane.rows:
+        width = max(len(str(x)) for row in plane for x in row) + 1
+        total = len(plane[-1])
+        for row in plane:
             pad = " " * (width * (total - len(row)) // 2)
             print(pad + "".join(str(x).rjust(width) for x in row))
     return 0

@@ -42,27 +42,25 @@ def vector_to_bits(value: int, n: int) -> str:
 
 
 def _rref(vectors, n: int):
-    """Reduced row echelon basis over GF(2), rows as packed ints."""
+    """Reduced row echelon basis over GF(2), rows as packed ints.
+
+    A row's pivot is its lowest set bit, and no other row holds it.  A new
+    vector reduced by every pivot has a pivot of its own, below the set
+    bits it clears from the rows that hold it, so one pass per vector
+    keeps the basis reduced; the rows are sorted by pivot once at the end.
+    """
     basis = []
     for vec in vectors:
         if vec >> n:
             raise ValueError(f"vector 0b{vec:b} does not fit in {n} bits")
         for row in basis:
-            low = row & -row
-            if vec & low:
+            if vec & (row & -row):
                 vec ^= row
         if vec:
+            pivot = vec & -vec
+            basis = [row ^ vec if row & pivot else row for row in basis]
             basis.append(vec)
-            # re-reduce everything above the new pivot
-            basis.sort(key=lambda r: r & -r)
-            reduced = []
-            for row in sorted(basis, key=lambda r: -(r & -r)):
-                for other in reduced:
-                    if row & (other & -other):
-                        row ^= other
-                reduced.append(row)
-            basis = sorted(reduced, key=lambda r: r & -r)
-    return tuple(basis)
+    return tuple(sorted(basis, key=lambda r: r & -r))
 
 
 @dataclass(frozen=True)

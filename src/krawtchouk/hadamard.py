@@ -27,7 +27,6 @@ entries always agree in parity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import add, sub
 
@@ -188,27 +187,15 @@ def pyramid_cross_check(n_max: int) -> CheckReport:
     return report
 
 
-@dataclass(frozen=True)
-class PyramidPlane:
-    """A triangular plane section; rows[r] has depth + r + 1 entries."""
+def pyramid_plane(direction: str, depth: int, rows: int) -> tuple:
+    """The rows of a triangular plane section, from its seed and local rule.
 
-    direction: str
-    depth: int
-    rows: tuple
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(str(x) for x in row)
-                         for row in self.rows) + "\n"
-
-
-def pyramid_plane(direction: str, depth: int, rows: int) -> PyramidPlane:
-    """Generate a plane section from its seed and local rule.
-
-    Down planes start from a Krawtchouk column of order ``depth`` and apply
-    the (signed) Pascal rule; up planes are built from the bottom row (a
-    Krawtchouk matrix row) upwards by exact halving.  Row r of the result
-    always equals the appropriate column/row of K^(depth + r), which is
-    what the seeds guarantee and the tests pin.
+    Row r has depth + r + 1 entries.  Down planes start from a Krawtchouk
+    column of order ``depth`` and apply the (signed) Pascal rule; up planes
+    are built from the bottom row (a Krawtchouk matrix row) upwards by
+    exact halving.  Row r of the result always equals the appropriate
+    column/row of K^(depth + r), which is what the seeds guarantee and the
+    tests pin.
     """
     if rows < 1:
         raise ValueError("need at least one row")
@@ -242,4 +229,4 @@ def pyramid_plane(direction: str, depth: int, rows: int) -> PyramidPlane:
     else:
         raise ValueError(f"unknown direction {direction!r}; "
                          f"choose from {DIRECTIONS}")
-    return PyramidPlane(direction, depth, tuple(tuple(r) for r in out))
+    return tuple(tuple(r) for r in out)

@@ -128,7 +128,6 @@ class Matrix:
             return self._packed_mul(other)
         zero = self.ring.zero
         cols = list(zip(*other.data))
-        # exact zero test: the CC ring's eq has a tolerance
         row_terms = [[(k, x) for k, x in enumerate(row) if x != zero]
                      for row in self.data]
         col_terms = [[(k, y) for k, y in enumerate(col) if y != zero]
@@ -248,11 +247,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ring != other.ring or self.shape != other.shape:
-            return False
-        eq = self.ring.eq
-        return all(eq(x, y) for r1, r2 in zip(self.data, other.data)
-                   for x, y in zip(r1, r2))
+        return self.ring is other.ring and self.data == other.data
 
     def __hash__(self):
         return hash((self.ring, self.data))
@@ -336,26 +331,23 @@ class CheckReport:
         """lhs = rhs cell by cell; two shapes that differ fail at no cell."""
         if lhs.shape != rhs.shape:
             return check_cells([(note, [(None, lhs.shape, rhs.shape)])], n=n)
-        return check_cells([(note, lhs.cells(rhs))], n=n, ring=lhs.ring)
+        return check_cells([(note, lhs.cells(rhs))], n=n)
 
 
-def check_cells(checks, n=None, ring: Ring = ZZ) -> CheckReport:
+def check_cells(checks, n=None) -> CheckReport:
     """The first mismatching cell of named identity checks, in scan order.
 
     ``checks`` yields (name, cells) pairs and each ``cells`` yields
     (location, lhs, rhs): an index tuple such as (i, j) for a matrix or (i,)
     for a vector, or None for a scalar identity.  Cells compare with
-    ``ring.eq``, so complex floats keep their tolerance, and the report
-    prints a mismatch with ``ring.fmt`` under the name of its check.  The
-    default ring's ``==`` and ``str`` suit any exact value.
+    ``!=``, which is exact in every ring, complex floats included, and the
+    report prints a mismatch with ``str`` under the name of its check.
     """
-    eq, fmt = ring.eq, ring.fmt
     for name, cells in checks:
         for location, lhs, rhs in cells:
-            # exact equality implies equality in every ring
-            if lhs != rhs and not eq(lhs, rhs):
+            if lhs != rhs:
                 return CheckReport(False, n=n, location=location,
-                                   lhs=fmt(lhs), rhs=fmt(rhs), note=name)
+                                   lhs=str(lhs), rhs=str(rhs), note=name)
     return CheckReport(True, n=n)
 
 

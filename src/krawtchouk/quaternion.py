@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .matrix import Matrix
+from .matrix import CheckReport, Matrix, check_cells
 from .rings import GAUSS, QQ, Gaussian, _Lowest
 
 HAMILTON = "Hamilton"
@@ -243,24 +244,21 @@ def isotropic_basis():
     return r, l, I_S
 
 
-def jhhk_images():
-    """The 2x2 images of F H, H G and 1 - i, all three equal.
+def jhhk_check() -> CheckReport:
+    """FH = HG with both sides equal to 1 - i, then the same in 2x2 matrices.
 
     The matrix image of FH = HG is the order-1 master equation: the Kac
     matrix times Hadamard equals Hadamard times diag(1, -1).
     """
-    return (to_matrix2(F) @ to_matrix2(H), to_matrix2(H) @ to_matrix2(G),
-            to_matrix2(split(1, -1)))
-
-
-def jhhk_check():
-    """FH = HG with both sides equal to 1 - i, plus the 2x2 matrix image."""
-    fh = F * H
-    hg = H * G
-    if fh != hg or fh != split(1, -1):
-        return False, fh, hg
-    lhs, rhs, target = jhhk_images()
-    return lhs == rhs == target, fh, hg
+    fh, hg, target = F * H, H * G, split(1, -1)
+    fh_image = to_matrix2(F) @ to_matrix2(H)
+    hg_image = to_matrix2(H) @ to_matrix2(G)
+    return check_cells([
+        ("FH = HG = 1 - i", [(None, fh, hg), (None, hg, target)]),
+        ("FH = HG in 2x2 matrices",
+         chain(fh_image.cells(hg_image),
+               hg_image.cells(to_matrix2(target)))),
+    ])
 
 
 def hadamard_conjugation():

@@ -1,7 +1,8 @@
 """Exact scalar rings that matrix entries live in.
 
 Every scalar here is an immutable value supporting ``+``, ``-``, ``*`` and
-exact equality (the complex-float ring compares with a tolerance instead).
+Python ``==``, which is exact equality in every ring, the complex floats
+included.
 Python ``int`` plays the role of the arbitrary-precision integer and
 ``fractions.Fraction`` the exact rational; the remaining rings are small
 custom types:
@@ -9,7 +10,7 @@ custom types:
 * :class:`Gaussian`    -- a + b*i with rational components, i**2 = -1
 * :class:`RootTwo`     -- a + b*sqrt(2) with rational components
 * :class:`Poly2`       -- integer polynomials in two commuting symbols a, b
-* ``complex``          -- double-precision complex, tolerance equality
+* ``complex``          -- double-precision complex, for the phase family
 
 ``Gaussian``, ``RootTwo`` and :class:`krawtchouk.quaternion.Quaternion`
 subclass one base, :class:`_Lowest`: integer numerators over one positive
@@ -23,9 +24,10 @@ them as a signed sum of coefficient-unit terms (``1/2-i``, ``-2/3√2``,
 ``-F+5/3G``, ``a^2b-2ab+1``); ``_parse_sum`` reads the a, b·u and a±b·u
 text of ``Gaussian`` and ``RootTwo``, and refuses anything after the unit.
 
-A :class:`Ring` descriptor bundles the zero/one constants, checked equality,
-string formatting and parsing for each of them, keyed by a short name that is
-also used in the JSON serialization of matrices.
+A :class:`Ring` descriptor bundles the zero/one constants, string
+formatting and parsing for each of them, keyed by a short name that is also
+used in the JSON serialization of matrices.  The six rings are module
+constants, so two rings are equal only when they are the same object.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-
-COMPLEX_TOL = 1e-9  # per-component tolerance for the float ring
 
 _new = object.__new__
 
@@ -345,6 +345,8 @@ class Poly2:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))  # as the int it equals
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -490,27 +492,15 @@ def parse_complex(s: str) -> complex:
 class Ring:
     """Descriptor tying together the constants and codecs of one scalar ring."""
 
-    def __init__(self, name, zero, one, fmt, parse, eq=None):
+    def __init__(self, name, zero, one, fmt, parse):
         self.name = name
         self.zero = zero
         self.one = one
         self.fmt = fmt
         self.parse = parse
-        self.eq = eq if eq is not None else (lambda x, y: x == y)
 
     def __repr__(self):
         return f"Ring({self.name})"
-
-    def __eq__(self, other):
-        return isinstance(other, Ring) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-def _complex_eq(x, y) -> bool:
-    x, y = complex(x), complex(y)
-    return abs(x.real - y.real) <= COMPLEX_TOL and abs(x.imag - y.imag) <= COMPLEX_TOL
 
 
 ZZ = Ring("integer", 0, 1, str, lambda s: int(s.strip()))
@@ -519,7 +509,7 @@ QQ = Ring("rational", Fraction(0), Fraction(1), str,
 GAUSS = Ring("gaussian", Gaussian(0), Gaussian(1), str, parse_gaussian)
 ROOT2 = Ring("root2", RootTwo(0), RootTwo(1), str, parse_root2)
 POLY2 = Ring("poly2", Poly2(), Poly2.const(1), str, parse_poly2)
-CC = Ring("complex", 0j, 1 + 0j, fmt_complex, parse_complex, eq=_complex_eq)
+CC = Ring("complex", 0j, 1 + 0j, fmt_complex, parse_complex)
 
 RINGS = {r.name: r for r in (ZZ, QQ, GAUSS, ROOT2, POLY2, CC)}
 

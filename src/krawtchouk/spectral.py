@@ -164,4 +164,4 @@ def spectral_suite_check(n: int) -> CheckReport:
     return check_cells([
         ("K (B X) = (B X) E", (k.map(RootTwo, ROOT2) @ bx).cells(bx @ e)),
         ("E^2 = 2^n I", (e @ e).cells(target)),
-    ], n=n, ring=ROOT2)
+    ], n=n)

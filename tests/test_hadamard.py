@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from krawtchouk import core, hadamard, sympow
+from krawtchouk import cli, core, hadamard, sympow
 from krawtchouk.lanes import Lanes, lane_bits
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import ZZ
@@ -168,7 +168,7 @@ def test_square_identity_reading():
 
 def test_west_wall_is_pascal():
     plane = hadamard.pyramid_plane("west-down", 0, 6)
-    assert [list(r) for r in plane.rows] == [
+    assert [list(r) for r in plane] == [
         [1],
         [1, 1],
         [1, 2, 1],
@@ -183,7 +183,7 @@ def test_west_plane_depth_one():
     # plane breaks its own addition rule from the fifth row on, so the
     # rule-consistent values are pinned instead
     plane = hadamard.pyramid_plane("west-down", 1, 6)
-    assert [list(r) for r in plane.rows] == [
+    assert [list(r) for r in plane] == [
         [1, -1],
         [1, 0, -1],
         [1, 1, -1, -1],
@@ -191,14 +191,14 @@ def test_west_plane_depth_one():
         [1, 3, 2, -2, -3, -1],
         [1, 4, 5, 0, -5, -4, -1],
     ]
-    for r, row in enumerate(plane.rows):
+    for r, row in enumerate(plane):
         n = 1 + r
         assert list(row) == [core.k_entry(n, p, 1) for p in range(n + 1)]
 
 
 def test_east_wall_and_depth_two_panel():
     wall = hadamard.pyramid_plane("east-down", 0, 5)
-    assert [list(r) for r in wall.rows] == [
+    assert [list(r) for r in wall] == [
         [1],
         [1, -1],
         [1, -2, 1],
@@ -206,7 +206,7 @@ def test_east_wall_and_depth_two_panel():
         [1, -4, 6, -4, 1],
     ]
     plane = hadamard.pyramid_plane("east-down", 2, 5)
-    assert [list(r) for r in plane.rows] == [
+    assert [list(r) for r in plane] == [
         [1, 2, 1],
         [1, 1, -1, -1],
         [1, 0, -2, 0, 1],
@@ -217,9 +217,9 @@ def test_east_wall_and_depth_two_panel():
 
 def test_north_wall_and_depth_one_panel():
     wall = hadamard.pyramid_plane("north-up", 0, 3)
-    assert [list(r) for r in wall.rows] == [[1], [1, 1], [1, 1, 1]]
+    assert [list(r) for r in wall] == [[1], [1, 1], [1, 1, 1]]
     plane = hadamard.pyramid_plane("north-up", 1, 6)
-    assert [list(r) for r in plane.rows] == [
+    assert [list(r) for r in plane] == [
         [1, -1],
         [2, 0, -2],
         [3, 1, -1, -3],
@@ -231,10 +231,10 @@ def test_north_wall_and_depth_one_panel():
 
 def test_south_wall_and_depth_two_panel():
     wall = hadamard.pyramid_plane("south-up", 0, 6)
-    for r, row in enumerate(wall.rows):
+    for r, row in enumerate(wall):
         assert list(row) == [(-1) ** q for q in range(r + 1)]
     plane = hadamard.pyramid_plane("south-up", 2, 6)
-    assert [list(r) for r in plane.rows] == [
+    assert [list(r) for r in plane] == [
         [1, 1, 1],
         [3, 1, -1, -3],
         [6, 0, -2, 0, 6],
@@ -247,8 +247,8 @@ def test_south_wall_and_depth_two_panel():
 def test_up_planes_halving_is_integral():
     # every entry is the exact half-sum / half-difference of the two below
     for depth in range(4):
-        north = hadamard.pyramid_plane("north-up", depth, 6).rows
-        south = hadamard.pyramid_plane("south-up", depth, 6).rows
+        north = hadamard.pyramid_plane("north-up", depth, 6)
+        south = hadamard.pyramid_plane("south-up", depth, 6)
         for upper, lower in zip(north, north[1:]):
             assert list(upper) == [(lower[i] + lower[i + 1]) // 2
                                    for i in range(len(lower) - 1)]
@@ -265,17 +265,20 @@ def test_east_plane_first_row_orientation():
     for k in range(6):
         plane = hadamard.pyramid_plane("east-down", k, 1)
         last_col = [core.k_entry(k, p, k) for p in range(k + 1)]
-        assert list(plane.rows[0]) == [abs(x) for x in last_col]
-        assert list(plane.rows[0]) == [comb(k, p) for p in range(k + 1)]
+        assert list(plane[0]) == [abs(x) for x in last_col]
+        assert list(plane[0]) == [comb(k, p) for p in range(k + 1)]
 
 
-def test_plane_errors_and_csv():
+def test_plane_errors_and_csv(capsys):
     with pytest.raises(ValueError, match="unknown direction"):
         hadamard.pyramid_plane("sideways", 0, 3)
     with pytest.raises(ValueError):
         hadamard.pyramid_plane("west-down", 0, 0)
     plane = hadamard.pyramid_plane("west-down", 0, 3)
-    assert plane.to_csv() == "1\n1,1\n1,2,1\n"
+    assert plane == ((1,), (1, 1), (1, 2, 1))
+    assert cli.main(["pyramid", "--direction", "west-down", "--rows", "3",
+                     "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "1\n1,1\n1,2,1\n"
 
 
 @pytest.mark.parametrize("direction", ["north-up", "south-up"])
@@ -285,4 +288,4 @@ def test_up_planes_refuse_a_row_of_mixed_parity(monkeypatch, direction):
     with pytest.raises(AssertionError, match="parity broke"):
         hadamard.pyramid_plane(direction, 0, 3)
     # one row takes no halving step, so nothing is refused
-    assert hadamard.pyramid_plane(direction, 2, 1).rows == ((0, 1, 2),)
+    assert hadamard.pyramid_plane(direction, 2, 1) == ((0, 1, 2),)

@@ -1,4 +1,5 @@
-"""Every module-level import of the library is used by its module."""
+"""Every module-level import of the library is used by its module, and
+every module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,35 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in used]
 
 
+def private_names(source: str) -> list:
+    """Names with one leading underscore bound by a module-level def, class
+    or assignment (dunders such as ``__all__`` are Python's, not ours)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def read_names(sources) -> set:
+    """Every name that the sources load, import or read as an attribute."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
 def test_unused_imports_are_found():
     source = ("from __future__ import annotations\n"
               "from dataclasses import dataclass\n"
@@ -35,6 +65,36 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["dataclass", "gcd"]
 
 
+def test_unread_private_names_are_found():
+    rings = ("_TOL = 1e-9\n"
+             "_new = object.__new__\n"
+             "__all__ = []\n"
+             "def _near_eq(x, y):\n"
+             "    return abs(x - y) <= _TOL\n"
+             "class _Lowest:\n"
+             "    _units = ()\n"
+             "def _frac(x):\n"
+             "    return x\n")
+    other = ("from .rings import _Lowest\n"
+             "import rings\n"
+             "print(rings._new(object), _frac)\n")
+    read = read_names([rings, other])
+    assert [name for name in private_names(rings) if name not in read] == [
+        "_near_eq"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.fixture(scope="module")
+def package_reads():
+    return read_names(p.read_text(encoding="utf-8")
+                      for p in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_private_names_are_read(path, package_reads):
+    assert [name for name in private_names(path.read_text(encoding="utf-8"))
+            if name not in package_reads] == []

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -95,21 +96,36 @@ def test_check_cells_finds_the_first_mismatch_in_scan_order():
     assert report.ok and report.n == 7 and report.location is None
 
 
-def test_check_cells_keeps_the_complex_tolerance():
+def test_check_cells_compares_complex_floats_exactly():
     a = Matrix(CC, [[1 + 2j, 0.5j], [-3 + 0j, 1e6 + 0j]])
-    near = a.map(lambda z: z + 1e-12)
-    assert check_cells([("near", a.cells(near))], ring=CC).ok
-    assert CheckReport.of_matrices(a, near).ok
-    report = CheckReport.of_matrices(a, a.map(lambda z: z + 1e-6j))
-    assert not report.ok and report.location == (0, 0)
-    assert (report.lhs, report.rhs) == (CC.fmt(1 + 2j), CC.fmt(1 + 2.000001j))
-    assert report.lhs == "1.0+2.0i"
+    assert check_cells([("same", a.cells(Matrix.from_json(a.to_json())))]).ok
+    for offset in (1e-12, 1e-6j):
+        near = a.map(lambda z: z + offset)
+        assert a != near
+        report = check_cells([("near", a.cells(near))])
+        assert not report.ok and report.location == (0, 0)
+        assert (report.note, report.lhs) == ("near", str(1 + 2j))
+        assert report.rhs == str(1 + 2j + offset)
+        assert CheckReport.of_matrices(a, near).location == (0, 0)
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=lambda ring: ring.name)
+def test_equal_matrices_hash_equal(ring):
+    eye = Matrix.identity(2, ring)
+    mats = [eye, Matrix.from_json(eye.to_json()),
+            Matrix(ring, [[1, 0], [0, 1]]), eye.scale(2),
+            Matrix.zeros(2, 2, ring)]
+    if ring is CC:
+        mats.append(eye.map(lambda z: z + 1e-12))
+    assert mats[0] == mats[1] == mats[2] != mats[3]
+    for a, b in product(mats, repeat=2):
+        assert a != b or hash(a) == hash(b), (a.data, b.data)
 
 
 def test_check_cells_prints_with_the_ring():
     a, b = Poly2.gen_a(), Poly2.gen_b()
     lhs, rhs = a * a + b * 3, (a + b) * a
-    report = check_cells([("poly", [(None, lhs, rhs)])], n=2, ring=POLY2)
+    report = check_cells([("poly", [(None, lhs, rhs)])], n=2)
     assert not report.ok and report.location is None
     assert (report.lhs, report.rhs) == (POLY2.fmt(lhs), POLY2.fmt(rhs))
     assert report.lhs == "a^2+3b"
@@ -265,7 +281,7 @@ def test_mul_matches_naive_triple_loop(ring):
 
 
 def test_mul_skips_only_exact_zeros_in_cc():
-    # CC's eq calls 1e-12 zero; the product must still count it
+    # 1e-12 is not zero; the sparsity index must count it
     tiny = Matrix(CC, [[1e-12 + 0j, 0j]])
     big = Matrix(CC, [[1e12 + 0j], [5 + 0j]])
     assert (tiny @ big)[0, 0] == 1 + 0j

@@ -152,10 +152,14 @@ def test_isotropic_basis():
     assert l == qt.split(0, -half, half, 0)
 
 
-def test_jhhk():
-    ok, fh, hg = qt.jhhk_check()
-    assert ok
-    assert fh == qt.split(1, -1) == hg      # both sides are 1 - i
+def test_jhhk(monkeypatch):
+    assert qt.jhhk_check().ok
+    assert qt.F * qt.H == qt.split(1, -1) == qt.H * qt.G  # both are 1 - i
+    monkeypatch.setattr(qt, "G", qt.split(0, 0, 0, 2))
+    report = qt.jhhk_check()
+    assert (report.ok, report.note, report.location) == (
+        False, "FH = HG = 1 - i", None)
+    assert (report.lhs, report.rhs) == (str(qt.F * qt.H), str(qt.H * qt.G))
 
 
 def test_hadamard_conjugation_true_images():

@@ -118,11 +118,11 @@ def test_format_parse_round_trip(ring, values):
         assert ring.parse(text) == value, (text, value)
 
 
-def test_complex_ring_tolerance():
-    assert CC.eq(1 + 1j, 1 + 1j + 1e-12)
-    assert not CC.eq(1 + 1j, 1 + 1j + 1e-6)
-    z = parse_complex(CC.fmt(0.5 - 2.25j))
-    assert z == 0.5 - 2.25j
+def test_complex_ring_is_exact():
+    # the text form keeps every bit, so exact equality survives it
+    for z in (0.5 - 2.25j, 1 + 1j + 1e-12, -3.25 + 0j):
+        assert parse_complex(CC.fmt(z)) == z
+    assert parse_complex(CC.fmt(1 + 1j + 1e-12)) != 1 + 1j
 
 
 def test_parse_edge_cases():
