@@ -85,12 +85,6 @@ class BinarySubspace:
             current ^= self.basis[flip]
             yield current
 
-    def contains(self, vec: int) -> bool:
-        for row in self.basis:
-            if vec & (row & -row):
-                vec ^= row
-        return vec == 0
-
     def __str__(self):
         rows = ", ".join(vector_to_bits(v, self.n) for v in self.basis)
         return f"span{{{rows}}} in Z2^{self.n}"

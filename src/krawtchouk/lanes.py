@@ -11,7 +11,7 @@ back as balanced base-2^L digits; a remainder left above the last lane means
 a lane overflowed, and is an error rather than wrong digits.
 
 The codec is shared arithmetic: :func:`krawtchouk.hadamard.reduce_to_symmetric`,
-:func:`krawtchouk.sympow.sym_group_power` and the dense integer products of
+:func:`krawtchouk.sympow.sym_group_power` and the integer products of
 :meth:`krawtchouk.matrix.Matrix.mul` each pack their own values.
 """
 

@@ -3,15 +3,14 @@
 Shapes are small by numerical-linear-algebra standards ((n+1) x (n+1) with
 n up to a few hundred, or 2^n x 2^n with n <= 10), so a matrix is a plain
 tuple of tuples of scalars and every operation is exact in every ring.
-The product has two paths, chosen by the factors themselves:
+The product has two paths, chosen by the ring alone:
 
-* over ``ZZ``, when both factors are dense (at least ``DENSE_SHARE`` of
-  their entries nonzero), each row of B is packed into one int by the lane
-  codec of :mod:`krawtchouk.lanes`, so row i of AB costs one big-int
-  multiply-add per a_ik;
-* otherwise each cell sums over the nonzero positions of the sparser of
-  its row and column, so diagonal, banded and skew factors stay O(n^2).
-  A sparse integer factor stays here because it is cheaper on this path.
+* over ``ZZ`` each row of B is packed into one int by the lane codec of
+  :mod:`krawtchouk.lanes`, so row i of AB costs one big-int multiply-add
+  per a_ik;
+* over every other ring each cell sums over the nonzero positions of the
+  sparser of its row and column, so diagonal, banded and skew factors
+  stay O(n^2).
 """
 
 from __future__ import annotations
@@ -23,12 +22,6 @@ from itertools import chain, product
 
 from .lanes import Lanes, lane_bits
 from .rings import Ring, RINGS, ZZ, ring_of
-
-# A ZZ product packs its rows when both factors have at least this share of
-# nonzero entries.  A sparse factor is cheaper on the sparsity-indexed path:
-# packing every ZZ product slowed master_check(96) (Kac matrix times K) from
-# 0.037 to 0.056 s in a prototype.
-DENSE_SHARE = 0.5
 
 
 class Matrix:
@@ -111,20 +104,19 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         """Exact product.
 
-        Over ``ZZ`` with both factors dense (see ``DENSE_SHARE``), row i of
-        AB is sum_k a_ik row_k(B) with every row of B packed into one int
-        (:mod:`krawtchouk.lanes`): one big-int multiply-add per a_ik.  Its
-        lanes hold the largest row abs-sum of A times the largest |b|,
-        which bounds every |(AB)_ij|.  Otherwise each cell sums over the
-        nonzero positions of the sparser of its row of A and its column of
-        B, so diagonal, banded and skew factors cost O(n^2) and dense
-        factors O(n^3).
+        Over ``ZZ``, row i of AB is sum_k a_ik row_k(B) with every row of B
+        packed into one int (:mod:`krawtchouk.lanes`): one big-int
+        multiply-add per a_ik.  Its lanes hold the largest row abs-sum of A
+        times the largest |b|, which bounds every |(AB)_ij|.  Over every
+        other ring each cell sums over the nonzero positions of the sparser
+        of its row of A and its column of B, so diagonal, banded and skew
+        factors cost O(n^2) and dense factors O(n^3).
         """
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {other.shape}")
-        if self.ring == ZZ and self._dense() and other._dense():
+        if self.ring == ZZ:
             return self._packed_mul(other)
         zero = self.ring.zero
         cols = list(zip(*other.data))
@@ -138,12 +130,6 @@ class Matrix:
                 for col, b_terms in zip(cols, col_terms)]
                for row, a_terms in zip(self.data, row_terms)]
         return Matrix(self.ring, out)
-
-    def _dense(self) -> bool:
-        """At least DENSE_SHARE of the (integer) entries are nonzero."""
-        size = self.rows * self.cols
-        zeros = sum(row.count(0) for row in self.data)
-        return size - zeros >= DENSE_SHARE * size
 
     def _packed_mul(self, other: "Matrix") -> "Matrix":
         """Integer product with the rows of ``other`` packed into lanes."""

@@ -148,10 +148,6 @@ class Quaternion(_Lowest, components=("a", "b", "c", "d")):
             n2, den = -n2, -den
         return self._of((a * den, -b * den, -c * den, -d * den, n2))
 
-    def pure(self) -> "Quaternion":
-        _, b, c, d, den = self._n
-        return self._of((0, b, c, d, den))
-
     def is_pure(self) -> bool:
         return self._n[0] == 0
 

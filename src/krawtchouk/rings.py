@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import copysign, gcd, lcm
 
 _new = object.__new__
 
@@ -220,9 +220,6 @@ class Gaussian(_Quadratic, components=("re", "im")):
         return f"Gaussian({self.re}, {self.im})"
 
 
-I = Gaussian(0, 1)
-
-
 class RootTwo(_Quadratic, components=("a", "b")):
     """Element a + b*sqrt(2) of the quadratic ring Q[sqrt(2)]."""
 
@@ -252,9 +249,6 @@ class RootTwo(_Quadratic, components=("a", "b")):
 
     def __repr__(self):
         return f"RootTwo({self.a}, {self.b})"
-
-
-SQRT2 = RootTwo(0, 1)
 
 
 def sqrt2_power(m: int) -> RootTwo:
@@ -471,17 +465,18 @@ def parse_poly2(s: str) -> Poly2:
 
 
 def fmt_complex(z: complex) -> str:
-    return f"{z.real!r}{'+' if z.imag >= 0 else ''}{z.imag!r}i"
+    """``re±imi`` with both parts in ``repr``, so every bit and a -0.0
+    imaginary part survive :func:`parse_complex`."""
+    sign = "-" if copysign(1.0, z.imag) < 0 else "+"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
 def parse_complex(s: str) -> complex:
+    """Text ending in ``i`` read by ``complex()`` with ``j`` for ``i``;
+    any other text must be a real float."""
     s = s.strip().replace(" ", "")
     if s.endswith("i"):
-        body = s[:-1]
-        m = re.match(r"^(?P<re>[+-]?[\d.eE+-]*?)(?P<im>[+-][\d.eE]*)$", body)
-        if m and m.group("re"):
-            return complex(float(m.group("re")), float(m.group("im")))
-        return complex(0.0, float(body))
+        return complex(s[:-1] + "j")
     return complex(float(s), 0.0)
 
 

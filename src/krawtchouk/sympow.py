@@ -36,7 +36,6 @@ KRON_BOUND = 10  # largest n with 4^n <= KRON_ENTRY_BOUND
 
 MAT_F = Matrix.from_rows([[0, 1], [1, 0]])
 MAT_G = Matrix.from_rows([[1, 0], [0, -1]])
-MAT_B = Matrix.from_rows([[0, 1], [-1, 0]])   # the 2x2 image of i
 MAT_H = Matrix.from_rows([[1, 1], [1, -1]])
 MAT_L = Matrix.from_rows([[0, 1], [0, 0]])    # lowering: x dy
 MAT_R = Matrix.from_rows([[0, 0], [1, 0]])    # raising:  y dx

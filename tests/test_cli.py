@@ -55,11 +55,14 @@ def test_gen_kac_pretty(capsys):
 
 
 def test_gen_phase(capsys):
-    code, out, _ = run_cli(capsys, "gen", "phase", "--n", "2",
-                           "--phi", "pi/2", "--format", "json")
-    assert code == 0
-    mat = Matrix.from_json(out)
-    assert mat == generalized.k_phase(2, math.pi / 2)
+    # pi/3 prints imaginary parts with exponents, such as 3.885780586188048e-16
+    for n, text, phi in ((2, "pi/2", math.pi / 2), (3, "pi/3", math.pi / 3)):
+        code, out, _ = run_cli(capsys, "gen", "phase", "--n", str(n),
+                               "--phi", text, "--format", "json")
+        assert code == 0
+        mat = Matrix.from_json(out)
+        assert mat == generalized.k_phase(n, phi)
+        assert mat.to_json() == out.strip()
 
 
 @pytest.mark.parametrize("kind,extra", [

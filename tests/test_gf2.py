@@ -59,9 +59,9 @@ def test_membership_and_enumeration():
     w = gf2.subspace_from(["110", "001"], 3)
     members = sorted(w.vectors())
     assert len(members) == 4
-    assert all(w.contains(v) for v in members)
-    assert not w.contains(0b001)  # "100" is outside span{110, 001}
-    assert not w.contains(0b010)
+    assert members == [0b000, 0b011, 0b100, 0b111]
+    assert 0b001 not in members  # "100" is outside span{110, 001}
+    assert 0b010 not in members
 
 
 def test_complement_examples():

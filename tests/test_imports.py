@@ -1,7 +1,10 @@
-"""Every module-level import of the library is used by its module, and
-every module-level private name is read somewhere in the package."""
+"""Every module-level import of the library is used by its module, every
+module-level private name is read somewhere in the package, and every
+public name is read by the package, a demo or the benchmark, or is listed
+in README's Layout section."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import krawtchouk
 PACKAGE = Path(krawtchouk.__file__).parent
 # the package's own imports are its exports (``__all__`` lists them)
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list:
@@ -40,6 +44,39 @@ def private_names(source: str) -> list:
             names += [t.id for t in targets if isinstance(t, ast.Name)]
     return [name for name in names
             if name.startswith("_") and not name.endswith("__")]
+
+
+def public_names(source: str, module: str) -> list:
+    """(qualified name, name) for each public module-level def, class or
+    assignment, as ``module.name``, and each public method, as
+    ``Class.method``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((f"{module}.{node.name}", node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [(f"{module}.{t.id}", t.id) for t in targets
+                      if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                      if isinstance(f, ast.FunctionDef)]
+    return [(qualified, name) for qualified, name in names
+            if not name.startswith("_")]
+
+
+def layout_section(readme: str) -> str:
+    """The text of README's "## Layout" section."""
+    return readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+
+
+def unlisted_unread(public, read: set, layout: str) -> list:
+    """The qualified public names that no source reads (by name, so any
+    read of the same name counts) and that ``layout`` does not list."""
+    return [qualified for qualified, name in public if name not in read
+            and not re.search(rf"(?<![\w.]){re.escape(qualified)}(?!\w)",
+                              layout)]
 
 
 def read_names(sources) -> set:
@@ -83,6 +120,37 @@ def test_unread_private_names_are_found():
         "_near_eq"]
 
 
+def test_unread_unlisted_public_names_are_found():
+    source = ("LIMIT = 3\n"
+              "_cache = {}\n"
+              "def build(n):\n"
+              "    return n\n"
+              "def spare(n):\n"
+              "    return n\n"
+              "class Grid:\n"
+              "    def __init__(self):\n"
+              "        self.cells = []\n"
+              "    def width(self):\n"
+              "        return LIMIT\n"
+              "    def of(self):\n"
+              "        return self\n"
+              "    def unused(self):\n"
+              "        return self\n")
+    other = "from .grid import Grid, build\nprint(build(Grid().width()))\n"
+    read = read_names([source, other])
+    public = public_names(source, "grid")
+    assert [q for q, _ in public] == [
+        "grid.LIMIT", "grid.build", "grid.spare", "grid.Grid", "Grid.width",
+        "Grid.of", "Grid.unused"]
+    layout = "grid.py  builders; grid.spare and Grid.of for callers\n"
+    assert unlisted_unread(public, read, layout) == ["Grid.unused"]
+    # a listing must name the method of its class, not a longer name
+    assert unlisted_unread(public, read, "MyGrid.of, Grid.offset") == [
+        "grid.spare", "Grid.of", "Grid.unused"]
+    readme = "# x\n\n## Layout\n\ngrid.spare\n\n## Performance\n\nGrid.of\n"
+    assert layout_section(readme) == "\ngrid.spare\n"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -98,3 +166,14 @@ def package_reads():
 def test_module_private_names_are_read(path, package_reads):
     assert [name for name in private_names(path.read_text(encoding="utf-8"))
             if name not in package_reads] == []
+
+
+def test_public_names_are_read_or_listed_in_layout():
+    sources = [p for folder in (PACKAGE, ROOT / "demos", ROOT / "perfbench")
+               for p in folder.glob("*.py")]
+    read = read_names(p.read_text(encoding="utf-8") for p in sources)
+    layout = layout_section((ROOT / "README.md").read_text(encoding="utf-8"))
+    public = [entry for path in MODULES
+              for entry in public_names(path.read_text(encoding="utf-8"),
+                                        path.stem)]
+    assert unlisted_unread(public, read, layout) == []

@@ -325,7 +325,7 @@ def test_integer_products_match_rational_products(seed):
         assert product == naive_product(a, b), name
 
 
-def test_only_dense_integer_factors_are_packed(monkeypatch):
+def test_every_integer_product_is_packed(monkeypatch):
     calls = []
     packed_mul = Matrix._packed_mul
 
@@ -337,15 +337,20 @@ def test_only_dense_integer_factors_are_packed(monkeypatch):
     half = Matrix(ZZ, [[1, 0], [0, 1]])       # two of four entries nonzero
     third = Matrix(ZZ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     full = Matrix(ZZ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert half @ half == half
-    assert len(calls) == 1
-    assert full @ third == full and third @ full == full
-    assert len(calls) == 1
-    assert full @ full == naive_product(full, full)
-    assert len(calls) == 2
-    rational = full.map(Fraction, QQ)
-    assert rational @ rational == naive_product(rational, rational)
-    assert len(calls) == 2
+    tridiagonal = Matrix(ZZ, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    wide = Matrix(ZZ, [[1, 0, 2], [0, 3, 0]])
+    zero = Matrix.zeros(3, 3)
+    products = [(half, half), (full, third), (third, full),
+                (zero, full), (full, zero), (wide, full),
+                (tridiagonal, full), (full, tridiagonal)]
+    for a, b in products:
+        assert a @ b == naive_product(a, b)
+    assert calls == [(a.shape, b.shape) for a, b in products]
+    for ring in (QQ, GAUSS):
+        a = full.map(ring.one.__mul__, ring)
+        b = tridiagonal.map(ring.one.__mul__, ring)
+        assert a @ b == naive_product(a, b)
+    assert len(calls) == len(products)
 
 
 def test_packed_product_asserts_its_lanes_hold(monkeypatch):

@@ -1,5 +1,6 @@
 """Ring axioms and codec round-trips for the exact scalar types."""
 
+import struct
 from fractions import Fraction
 from math import gcd
 
@@ -18,6 +19,7 @@ from krawtchouk.rings import (
     POLY2,
     Poly2,
     QQ,
+    RINGS,
     ROOT2,
     RootTwo,
     ZZ,
@@ -116,6 +118,45 @@ def test_format_parse_round_trip(ring, values):
     for value in values:
         text = ring.fmt(value)
         assert ring.parse(text) == value, (text, value)
+
+
+# one value strategy per ring; complex floats keep -0.0 and infinities
+RING_VALUES = {
+    ZZ: st.integers(),
+    QQ: fractions,
+    GAUSS: gaussians,
+    ROOT2: root2s,
+    POLY2: poly2s,
+    CC: st.complex_numbers(allow_nan=False),
+}
+
+
+def exact_key(ring, value):
+    """The value itself, or its bytes for a complex float, so -0.0 != 0.0."""
+    if ring is CC:
+        return struct.pack("dd", value.real, value.imag)
+    return value
+
+
+def exact_keys(mat):
+    return [[exact_key(mat.ring, x) for x in row] for row in mat.data]
+
+
+@seed(20261019)
+@settings(max_examples=200)
+@given(st.sampled_from(list(RINGS.values())), st.integers(1, 3),
+       st.integers(1, 3), st.data())
+def test_text_codecs_round_trip_every_ring(ring, rows, cols, data):
+    assert set(RING_VALUES) == set(RINGS.values())
+    values = st.lists(RING_VALUES[ring], min_size=cols, max_size=cols)
+    mat = Matrix(ring, data.draw(st.lists(values, min_size=rows,
+                                          max_size=rows)))
+    assert [[exact_key(ring, ring.parse(ring.fmt(x))) for x in row]
+            for row in mat.data] == exact_keys(mat)
+    for back in (Matrix.from_json(mat.to_json()),
+                 Matrix.from_csv(mat.to_csv(), ring)):
+        assert back.ring is ring and back.shape == mat.shape
+        assert exact_keys(back) == exact_keys(mat)
 
 
 def test_complex_ring_is_exact():

@@ -117,7 +117,8 @@ def test_group_power_of_special_elements():
 def test_algebra_power_of_special_elements():
     assert sympow.sym_algebra_power(sympow.MAT_F, 3) == core.kac_matrix(3)
     assert sympow.sym_algebra_power(sympow.MAT_G, 3) == core.lambda_matrix(3)
-    assert sympow.sym_algebra_power(sympow.MAT_B, 3) == Matrix(ZZ, [
+    mat_b = Matrix(ZZ, [[0, 1], [-1, 0]])  # the 2x2 image of i
+    assert sympow.sym_algebra_power(mat_b, 3) == Matrix(ZZ, [
         [0, 1, 0, 0], [-3, 0, 2, 0], [0, -2, 0, 3], [0, 0, -1, 0]])
     assert sympow.sym_algebra_power(Matrix.zeros(2, 2), 5) == \
         Matrix.zeros(6, 6)
@@ -180,7 +181,8 @@ def test_algebra_power_operator_dictionary():
     assert ladders(sympow.MAT_F) == (up, down, zero_diag)
     # the image of i: the dictionary and the displayed matrix force
     # x dy - y dx (the sign printed next to the dictionary is a known slip)
-    assert ladders(sympow.MAT_B) == (up, [-d for d in down], zero_diag)
+    mat_b = Matrix(ZZ, [[0, 1], [-1, 0]])
+    assert ladders(mat_b) == (up, [-d for d in down], zero_diag)
 
 
 def test_ladder_factors():
