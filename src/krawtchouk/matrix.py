@@ -7,7 +7,7 @@ The product has two paths, chosen by the ring alone:
 
 * over ``ZZ`` each row of B is packed into one int by the lane codec of
   :mod:`krawtchouk.lanes`, so row i of AB costs one big-int multiply-add
-  per a_ik;
+  per nonzero a_ik;
 * over every other ring each cell sums over the nonzero positions of the
   sparser of its row and column, so diagonal, banded and skew factors
   stay O(n^2).
@@ -106,7 +106,8 @@ class Matrix:
 
         Over ``ZZ``, row i of AB is sum_k a_ik row_k(B) with every row of B
         packed into one int (:mod:`krawtchouk.lanes`): one big-int
-        multiply-add per a_ik.  Its lanes hold the largest row abs-sum of A
+        multiply-add per nonzero a_ik, since adding even a zero term copies
+        the row-wide int.  Its lanes hold the largest row abs-sum of A
         times the largest |b|, which bounds every |(AB)_ij|.  Over every
         other ring each cell sums over the nonzero positions of the sparser
         of its row of A and its column of B, so diagonal, banded and skew
@@ -137,8 +138,9 @@ class Matrix:
                  * max(max(map(abs, row)) for row in other.data))
         lanes = Lanes(lane_bits(bound), other.cols)
         packed = [lanes.pack(row) for row in other.data]
-        return Matrix(ZZ, [lanes.unpack(sum(map(operator.mul, row, packed)))
-                           for row in self.data])
+        return Matrix(ZZ, [
+            lanes.unpack(sum([a * p for a, p in zip(row, packed) if a]))
+            for row in self.data])
 
     __matmul__ = mul
 
