@@ -44,8 +44,7 @@ from .rings import QQ, ZZ
 # Above this order the CLI warns about output size; the library still works.
 DEFAULT_ORDER_BOUND = 64
 
-METHODS = ("GenFunc", "BinomialSum", "SymTensorPower",
-           "PyramidRecurrence", "PathSumOracle")
+METHODS = ("GenFunc", "BinomialSum", "PyramidRecurrence", "PathSumOracle")
 
 
 @dataclass(frozen=True)
@@ -203,16 +202,16 @@ def master_check(n: int) -> CheckReport:
     if n < 1:
         raise ValueError("master equation needs order >= 1")
     k = k_reference(n)
-    lhs = kac_matrix(n) @ k
-    rhs = k @ lambda_matrix(n)
-    return CheckReport.of_matrices(lhs, rhs, n=n, note="M K = K Lambda")
+    return check_cells([("M K = K Lambda",
+                         (kac_matrix(n) @ k).cells(k @ lambda_matrix(n)))],
+                       n=n)
 
 
 def involution_check(n: int) -> CheckReport:
     """K^2 = 2^n I, exactly."""
     k = k_reference(n)
     target = Matrix.identity(n + 1, ZZ).scale(2 ** n)
-    return CheckReport.of_matrices(k @ k, target, n=n, note="K^2 = 2^n I")
+    return check_cells([("K^2 = 2^n I", (k @ k).cells(target))], n=n)
 
 
 def ortho_check(n: int) -> CheckReport:
@@ -260,8 +259,7 @@ def covector_transform(n: int, row) -> list:
 def construction_equivalence_check(n: int) -> CheckReport:
     """The two in-module constructions agree entrywise."""
     a, b = k_genfunc(n), k_binsum(n)
-    return CheckReport.of_matrices(a.mat, b.mat, n=n,
-                                   note="GenFunc = BinomialSum")
+    return check_cells([("GenFunc = BinomialSum", a.mat.cells(b.mat))], n=n)
 
 
 def symmetry_identities_check(n: int) -> CheckReport:

@@ -165,7 +165,7 @@ def phase_coherence_check(n: int) -> CheckReport:
     """k_phase(n, pi) equals the classical matrix with zero imaginary parts."""
     k = k_phase(n, math.pi)
     ref = k_reference(n).map(Gaussian, GAUSS)
-    return CheckReport.of_matrices(k, ref, n=n, note="phase pi = classical")
+    return check_cells([("phase pi = classical", k.cells(ref))], n=n)
 
 
 def snake_coordinates(k: Matrix, q: int) -> list:

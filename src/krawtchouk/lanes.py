@@ -12,7 +12,9 @@ a lane overflowed, and is an error rather than wrong digits.
 
 The codec is shared arithmetic: :func:`krawtchouk.hadamard.reduce_to_symmetric`,
 :func:`krawtchouk.sympow.sym_group_power` and the integer products of
-:meth:`krawtchouk.matrix.Matrix.mul` each pack their own values.
+:meth:`krawtchouk.matrix.Matrix.mul` each pack their own values, and
+:func:`krawtchouk.sympow.sym_algebra_power_by_derivative` decodes lane 1, the
+t-coefficient, of a group power taken at t = 2^L.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ The product has two paths, chosen by the ring alone:
 * over every other ring each cell sums over the nonzero positions of the
   sparser of its row and column, so diagonal, banded and skew factors
   stay O(n^2).
+
+Identities are compared cell by cell through :func:`check_cells`, the one
+report path: two sides of different shapes are one failed cell, not an
+error.
 """
 
 from __future__ import annotations
@@ -91,9 +95,6 @@ class Matrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other: "Matrix"):
@@ -161,9 +162,6 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         return Matrix(self.ring, [[c * x for x in row] for row in self.data])
 
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.ring, list(zip(*self.data)))
 
@@ -180,14 +178,6 @@ class Matrix:
                 out.append([a * b for a in arow for b in brow])
         return Matrix(self.ring, out)
 
-    def trace(self):
-        if not self.is_square():
-            raise ValueError("trace of a non-square matrix")
-        total = self.ring.zero
-        for i in range(self.rows):
-            total = total + self.data[i][i]
-        return total
-
     def mul_vector(self, vec):
         """Matrix times column vector (a plain list of scalars)."""
         if len(vec) != self.cols:
@@ -202,28 +192,6 @@ class Matrix:
         zero = self.ring.zero
         return [sum(map(operator.mul, vec, col), zero)
                 for col in zip(*self.data)]
-
-    def det(self):
-        """Exact determinant; needs a ring with division (rational, root2)."""
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = [list(row) for row in self.data]
-        zero = self.ring.zero
-        det = self.ring.one
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if a[r][k] != zero), None)
-            if pivot_row is None:
-                return zero
-            if pivot_row != k:
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                det = -det
-            pivot = a[k][k]
-            det = det * pivot
-            for r in range(k + 1, n):
-                factor = a[r][k] / pivot
-                a[r] = [x - factor * y for x, y in zip(a[r], a[k])]
-        return det
 
     def map(self, fn, ring: Ring | None = None) -> "Matrix":
         """Entrywise map, optionally landing in another ring."""
@@ -242,9 +210,13 @@ class Matrix:
 
     def cells(self, other: "Matrix"):
         """((i, j), self[i, j], other[i, j]) row by row, for
-        :func:`check_cells`; the shapes must agree."""
+        :func:`check_cells`.
+
+        Two shapes that differ are the one unlocated cell
+        (None, self.shape, other.shape), which fails.
+        """
         if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+            return [(None, self.shape, other.shape)]
         return zip(product(range(self.rows), range(self.cols)),
                    chain.from_iterable(self.data),
                    chain.from_iterable(other.data))
@@ -300,8 +272,8 @@ class CheckReport:
     """Outcome of one identity check with the first mismatch, if any.
 
     On a failure ``note`` names the identity, ``location`` indexes the
-    first bad cell (None for a scalar identity) and ``lhs``/``rhs`` print
-    its two sides.
+    first bad cell (None for a scalar identity or a shape mismatch) and
+    ``lhs``/``rhs`` print its two sides.
     """
 
     ok: bool
@@ -314,20 +286,15 @@ class CheckReport:
     def __bool__(self):
         return self.ok
 
-    @staticmethod
-    def of_matrices(lhs: Matrix, rhs: Matrix, n=None, note="") -> "CheckReport":
-        """lhs = rhs cell by cell; two shapes that differ fail at no cell."""
-        if lhs.shape != rhs.shape:
-            return check_cells([(note, [(None, lhs.shape, rhs.shape)])], n=n)
-        return check_cells([(note, lhs.cells(rhs))], n=n)
-
 
 def check_cells(checks, n=None) -> CheckReport:
     """The first mismatching cell of named identity checks, in scan order.
 
     ``checks`` yields (name, cells) pairs and each ``cells`` yields
     (location, lhs, rhs): an index tuple such as (i, j) for a matrix or (i,)
-    for a vector, or None for a scalar identity.  Cells compare with
+    for a vector, or None for a scalar identity or for two sides whose
+    shapes or lengths differ, which :meth:`Matrix.cells` and
+    :func:`vector_cells` give as one failed cell.  Cells compare with
     ``!=``, which is exact in every ring, complex floats included, and the
     report prints a mismatch with ``str`` under the name of its check.
     """
@@ -340,8 +307,14 @@ def check_cells(checks, n=None) -> CheckReport:
 
 
 def vector_cells(lhs, rhs):
-    """((i,), lhs[i], rhs[i]) for two sequences of one length."""
-    return zip(product(range(len(lhs))), lhs, rhs, strict=True)
+    """((i,), lhs[i], rhs[i]) for two sequences of one length.
+
+    Two lengths that differ are the one unlocated cell
+    (None, len(lhs), len(rhs)), which fails.
+    """
+    if len(lhs) != len(rhs):
+        return [(None, len(lhs), len(rhs))]
+    return zip(product(range(len(lhs))), lhs, rhs)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from collections import Counter
 from itertools import combinations, repeat
 from math import comb
 
-from .matrix import Matrix
+from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ring_of
 
 ENUM_BOUND_NUMERIC = 16   # 2^n words; n above this is refused
@@ -185,15 +185,17 @@ def twiston_energy(n: int, q: int, p: int) -> int:
     return sum(count if k % 2 == 0 else -count for k, count in below.items())
 
 
-def partition_check(n: int) -> bool:
+def partition_check(n: int) -> CheckReport:
     """Every one of the 2^n words lands at exactly one position.
 
     The words are swept as n-bit integers, a set bit for each R, and
-    counted by their position p, the number of R's: position p must
-    receive C(n,p) of them.
+    counted by their position p, the number of R's: cell (p,) compares
+    that count with C(n,p).
     """
     if not 0 <= n <= ENUM_BOUND_NUMERIC:
         raise ValueError(f"order {n} is outside the 2^n enumeration bound "
                          f"0..{ENUM_BOUND_NUMERIC}")
     by_position = Counter(map(int.bit_count, range(2 ** n)))
-    return all(by_position[p] == comb(n, p) for p in range(n + 1))
+    return check_cells([("paths to p = C(n,p)", vector_cells(
+        [by_position[p] for p in range(n + 1)],
+        [comb(n, p) for p in range(n + 1)]))], n=n)

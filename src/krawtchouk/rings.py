@@ -230,23 +230,6 @@ class RootTwo(_Quadratic, components=("a", "b")):
     def __init__(self, a=0, b=0):
         self._store((a, b))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        x1, y1, d1 = self._n
-        x2, y2, d2 = other._n
-        # conjugate trick: d2/(x2 + y2√2) = (x2 - y2√2) d2/(x2² - 2y2²)
-        norm = x2 * x2 - 2 * y2 * y2
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q[sqrt(2)]")
-        x = (x1 * x2 - 2 * y1 * y2) * d2
-        y = (y1 * x2 - x1 * y2) * d2
-        den = d1 * norm
-        if den < 0:
-            x, y, den = -x, -y, -den
-        return self._of((x, y, den))
-
     def __repr__(self):
         return f"RootTwo({self.a}, {self.b})"
 

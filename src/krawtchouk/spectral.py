@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import KrawtchoukMatrix, k_reference
-from .matrix import CheckReport, Matrix, check_cells
+from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ROOT2, RootTwo, ZZ, sqrt2_power
 
 
@@ -44,13 +44,21 @@ def skew_power_matrix(n: int) -> Matrix:
     return Matrix.skewdiag([2 ** (n - i) for i in range(n + 1)], ZZ)
 
 
+def _require(name: str, n: int, lhs, rhs, cells=Matrix.cells) -> None:
+    """Raise AssertionError carrying the check_cells report of lhs = rhs.
+
+    The plain ``!=`` decides, so a passing self-check scans no cell.
+    """
+    if lhs != rhs:
+        raise AssertionError(check_cells([(name, cells(lhs, rhs))], n=n))
+
+
 def b_inverse(n: int) -> Matrix:
     """B^{-1} = S B S with S = diag(1,-1,1,...); verified against B."""
     b = binomial_matrix(n)
     s = Matrix.diag([(-1) ** i for i in range(n + 1)], ZZ)
     inv = s @ b @ s
-    if b @ inv != Matrix.identity(n + 1, ZZ):
-        raise AssertionError("B * (S B S) != I; alternating-sign inverse broke")
+    _require("B (S B S) = I", n, b @ inv, Matrix.identity(n + 1, ZZ))
     return inv
 
 
@@ -67,13 +75,16 @@ def _transform_check(n: int, k: Matrix, b: Matrix):
     return "K B = B D", (k @ b).cells(b @ skew_power_matrix(n))
 
 
+def _bdb_sides(n: int):
+    """B D B^{-1} and K, the two sides of K's skew-diagonalization."""
+    b = binomial_matrix(n)
+    return b @ skew_power_matrix(n) @ b_inverse(n), k_reference(n)
+
+
 def k_from_BDBinv(n: int):
     """Build K as B D B^{-1} and cross-check against the generating function."""
-    b = binomial_matrix(n)
-    product = b @ skew_power_matrix(n) @ b_inverse(n)
-    reference = k_reference(n)
-    if product != reference:
-        raise AssertionError(f"B D B^-1 disagrees with K at order {n}")
+    product, reference = _bdb_sides(n)
+    _require("B D B^-1 = K", n, product, reference)
     # method tag GenFunc: the product is its cross-check
     return KrawtchoukMatrix(n, reference, "GenFunc")
 
@@ -96,16 +107,14 @@ def eigen_factors(n: int) -> EigenFactor:
     written once, matching the fact that the odd combination of the two
     central binomial vectors vanishes.
     """
-    xm, e = _eigen_matrices(n)
-    bx = binomial_matrix(n).map(RootTwo, ROOT2) @ xm
-    k = k_reference(n).map(RootTwo, ROOT2)
-    if k @ bx != bx @ e:
-        raise AssertionError(f"K (B X) != (B X) E at order {n}")
-    return EigenFactor(n, xm, e)
+    x, e, lhs, rhs = _eigen_sides(n)
+    _require("K (B X) = (B X) E", n, lhs, rhs)
+    return EigenFactor(n, x, e)
 
 
-def _eigen_matrices(n: int):
-    """X and E as :func:`eigen_factors` describes them, unchecked."""
+def _eigen_sides(n: int):
+    """X and E as :func:`eigen_factors` describes them, then K (B X) and
+    (B X) E, the two sides of the spectral identity, unchecked."""
     if n < 0:
         raise ValueError("order must be non-negative")
     zero = RootTwo(0)
@@ -117,7 +126,9 @@ def _eigen_matrices(n: int):
             x[n - j][j] = sqrt2_power(j)
     lam = sqrt2_power(n)
     e = Matrix.diag([lam if 2 * j <= n else -lam for j in range(n + 1)], ROOT2)
-    return Matrix(ROOT2, x), e
+    x = Matrix(ROOT2, x)
+    bx = binomial_matrix(n).map(RootTwo, ROOT2) @ x
+    return x, e, k_reference(n).map(RootTwo, ROOT2) @ bx, bx @ e
 
 
 def eigenvector(n: int, k: int, sign: str) -> list:
@@ -145,23 +156,22 @@ def eigenvector(n: int, k: int, sign: str) -> list:
 
     kmat = k_reference(n).map(RootTwo, ROOT2)
     lam = sqrt2_power(n) if sign == "+" else -sqrt2_power(n)
-    if kmat.mul_vector(vec) != [lam * x for x in vec]:
-        raise AssertionError("eigenvector failed its own eigen-equation")
+    _require(f"K v = {sign}2^(n/2) v", n, kmat.mul_vector(vec),
+             [lam * x for x in vec], vector_cells)
     return vec
 
 
 def spectral_suite_check(n: int) -> CheckReport:
     """Everything above at once, plus E^2 = 2^n I; used by the CLI."""
     k, b = k_reference(n), binomial_matrix(n)
-    bdb = b @ skew_power_matrix(n) @ b_inverse(n)
+    bdb, reference = _bdb_sides(n)
     report = check_cells([_transform_check(n, k, b),
-                          ("B D B^-1 = K", bdb.cells(k))], n=n)
+                          ("B D B^-1 = K", bdb.cells(reference))], n=n)
     if not report.ok:
         return report
-    x, e = _eigen_matrices(n)
-    bx = b.map(RootTwo, ROOT2) @ x
+    _, e, lhs, rhs = _eigen_sides(n)
     target = Matrix.identity(n + 1, ROOT2).scale(RootTwo(2 ** n))
     return check_cells([
-        ("K (B X) = (B X) E", (k.map(RootTwo, ROOT2) @ bx).cells(bx @ e)),
+        ("K (B X) = (B X) E", lhs.cells(rhs)),
         ("E^2 = 2^n I", (e @ e).cells(target)),
     ], n=n)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from .core import k_reference, kac_matrix, lambda_matrix
 from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells
-from .rings import Poly2, POLY2, ZZ, ring_of
+from .rings import ZZ
 
 # A 2^n x 2^n power holds 4^n entries.  kron_power traced ~19 bytes per
 # entry at n = 6..10 (19.6 MB at n = 10), 4x more per order: ~5 GB at n = 14.
@@ -137,18 +137,26 @@ def sym_algebra_power(a: Matrix, n: int) -> Matrix:
 def sym_algebra_power_by_derivative(a: Matrix, n: int) -> Matrix:
     """Cross-check route: t-coefficient of sym_group_power(I + tA, n).
 
-    Runs the group construction over the polynomial ring with t standing in
-    for the first generator, then extracts the linear coefficient -- an
-    exact derivative, no limits involved.
+    For integer A every entry of the group power of I + tA is an integer
+    polynomial in t of degree <= n, each coefficient at most m^n in size,
+    with m = 1 + the larger column abs-sum of A.  So the group power is
+    taken once over ``ZZ`` at t = 2^L, L = ``lane_bits(m^n)``, and lane 1
+    of each entry, decoded by :class:`krawtchouk.lanes.Lanes`, is its exact
+    t-coefficient: a derivative, no limits involved.  n + 2 lanes leave
+    a lane 1 at n = 0.
     """
     _require_2x2(a)
-    t = Poly2.gen_a()
-    curve = Matrix(POLY2, [
+    if a.ring != ZZ:
+        raise ValueError(f"the derivative route needs an integer matrix, "
+                         f"got {a.ring.name}")
+    m = 1 + max(abs(a[0, 0]) + abs(a[1, 0]), abs(a[0, 1]) + abs(a[1, 1]))
+    lanes = Lanes(lane_bits(m ** n), n + 2)
+    t = 1 << lanes.bits
+    curve = Matrix(ZZ, [
         [1 + t * a[0, 0], t * a[0, 1]],
         [t * a[1, 0], 1 + t * a[1, 1]],
     ])
-    power = sym_group_power(curve, n)
-    return power.map(lambda p: p.terms.get((1, 0), 0), ring_of(a[0, 0]))
+    return sym_group_power(curve, n).map(lambda x: lanes.unpack(x)[1])
 
 
 def require_kron_order(n: int) -> None:

@@ -5,12 +5,14 @@ failures in a machine-readable form; the CLI `verify` subcommand is a thin
 wrapper.  Every identity is checked cell by cell through
 :func:`krawtchouk.matrix.check_cells`, so a failure names its check, the
 order n, the first bad cell and its two sides.  The location is [i, j] in a
-matrix, [i] in a vector and null for a scalar identity; a randomized check
-puts the index of its random instance first.  The quaternion suite proves
-its algebra identities on a basis, and a basis check puts the indices of
-its two basis elements first: 0..3 for the units 1, i, j (F), k (G) and
-4..9 for the sums e_a + e_b, a < b, in lexicographic order (4 = 1 + i,
-..., 9 = j + k).  A suite keeps the first failure of each check and order.
+matrix, [i] in a vector and null for a scalar identity or for two sides of
+different shapes or lengths, whose sides are then those shapes or lengths.
+A randomized check puts the index of its random instance first.  The
+quaternion suite proves its algebra identities on a basis, and a basis
+check puts the indices of its two basis elements first: 0..3 for the
+units 1, i, j (F), k (G) and 4..9 for the sums e_a + e_b, a < b, in
+lexicographic order (4 = 1 + i, ..., 9 = j + k).  A suite keeps the first
+failure of each check and order.
 Suites are deterministic: randomized ones derive everything from an
 explicit seed, and the report is ordered by suite name regardless of
 execution order.
@@ -68,9 +70,8 @@ def _suite_construction(n_max: int, seed: int) -> SuiteReport:
                 ("twiston energy = K",
                  (((p, q), pathsum.twiston_energy(n, q, p), ref[p, q])
                   for p in idx for q in idx)),
-                ("sum C(n,p) = 2^n",
-                 [(None, pathsum.partition_check(n), True)]),
             ]
+            report.record(pathsum.partition_check(n))
         report.record(check_cells(checks, n=n))
     return report
 
@@ -110,9 +111,9 @@ def _suite_cross(n_max: int, seed: int) -> SuiteReport:
         report.record(generalized.general_cross_check(n))
         symbolic = generalized.k_general_symbolic(n)
         classical = generalized.specialize(symbolic, 1, -1)
-        report.record(CheckReport.of_matrices(
-            classical, core.k_reference(n), n=n,
-            note="K(alpha, beta) at (1,-1) = K"))
+        report.record(check_cells(
+            [("K(alpha, beta) at (1,-1) = K",
+              classical.cells(core.k_reference(n)))], n=n))
     return report
 
 
@@ -314,9 +315,9 @@ def _suite_phase(n_max: int, seed: int) -> SuiteReport:
         report.record(generalized.phase_coherence_check(n))
         if 1 <= n <= PATH_CAP:
             oracle = pathsum.oracle_matrix(n, Gaussian(1), Gaussian(0, 1))
-            report.record(CheckReport.of_matrices(
-                oracle, generalized.k_phase(n, math.pi / 2), n=n,
-                note="path sum = K(i)"))
+            report.record(check_cells(
+                [("path sum = K(i)",
+                  oracle.cells(generalized.k_phase(n, math.pi / 2)))], n=n))
     return report
 
 

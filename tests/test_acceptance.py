@@ -32,7 +32,7 @@ from krawtchouk import (
     spectral,
     sympow,
 )
-from krawtchouk.matrix import CheckReport, Matrix
+from krawtchouk.matrix import Matrix, check_cells
 from krawtchouk.rings import GAUSS, QQ, ROOT2, RootTwo, ZZ, sqrt2_power
 
 from tables import KRAWTCHOUK, PHASE_I, SYMMETRIC
@@ -216,13 +216,13 @@ def test_criterion_08_quaternion_suite():
                              (l, l_mat, "L"), (img_r, img_r_mat, "(G-i)/2"),
                              (img_l, img_l_mat, "(G+i)/2")):
         got = qt.to_matrix2(q)
-        miss = CheckReport.of_matrices(got, literal)
+        miss = check_cells([(name, got.cells(literal))])
         crit.check(got == literal, f"to_matrix2({name}) ({miss})")
     for name, v_mat, img_mat in (("R", r_mat, img_r_mat),
                                  ("L", l_mat, img_l_mat)):
         lhs, rhs = h_mat @ v_mat, img_mat @ h_mat
         crit.check(lhs == rhs, f"2x2 H {name} = Ad({name}) H "
-                               f"({CheckReport.of_matrices(lhs, rhs)})")
+                               f"({check_cells([(name, lhs.cells(rhs))])})")
 
     # conjugation by N = i is what flips the pair, and it fixes N
     image("N L N^-1 = -R", i, l, -r)

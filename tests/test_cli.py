@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from krawtchouk import cli, generalized, sympow
+from krawtchouk import cli, generalized, hadamard, sympow
 from krawtchouk.matrix import Matrix
 
 REPORT_SCHEMA = {
@@ -132,6 +132,21 @@ def test_verify_single_suite_and_determinism(capsys):
     report = json.loads(out1)[0]
     assert report["suite"] == "master"
     assert report["n_max"] == 8
+
+
+def test_verify_reports_a_wrong_shape_as_a_failed_cell(capsys, monkeypatch):
+    # a construction of the wrong order is a named, unlocated failure
+    # (exit 1), not a usage error
+    real = hadamard.k_pyramid
+    monkeypatch.setattr(hadamard, "k_pyramid", lambda n: real(n + 1))
+    code, out, _ = run_cli(capsys, "verify", "--suites",
+                           "construction-equivalence", "--n-max", "3")
+    assert code == 1
+    [report] = json.loads(out)
+    assert report["failures"][0] == {
+        "n": 0, "check": "pyramid recurrence = K", "location": None,
+        "lhs": "(2, 2)", "rhs": "(1, 1)"}
+    assert [f["n"] for f in report["failures"]] == [0, 1, 2, 3]
 
 
 def test_verify_seeded_macwilliams(capsys):

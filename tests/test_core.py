@@ -9,7 +9,7 @@ import pytest
 
 from krawtchouk import (cli, core, hadamard, pathsum, quaternion, spectral,
                         sympow, verify)
-from krawtchouk.matrix import Matrix
+from krawtchouk.matrix import Matrix, check_cells
 from krawtchouk.rings import ZZ
 
 from tables import KRAWTCHOUK, SYMMETRIC
@@ -72,14 +72,15 @@ def test_kac_matrix_structure():
         m = core.kac_matrix(n)
         for j in range(n + 1):
             assert sum(m.col(j)) == n
-        assert m.trace() == 0
+        assert sum(m[i, i] for i in range(n + 1)) == 0
 
 
 def test_lambda_matrix():
     assert core.lambda_matrix(3) == Matrix.diag([3, 1, -1, -3])
     assert core.lambda_matrix(0) == Matrix(ZZ, [[0]])
     for n in range(9):
-        assert core.lambda_matrix(n).trace() == 0
+        lam = core.lambda_matrix(n)
+        assert sum(lam[i, i] for i in range(n + 1)) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -183,10 +184,9 @@ def test_master_check_reports_failure_location():
     report = core.master_check(3)
     assert report.ok and report.location is None
     # a deliberately broken comparison must carry the first bad index
-    from krawtchouk.matrix import CheckReport
     a = Matrix(ZZ, [[1, 2], [3, 4]])
     b = Matrix(ZZ, [[1, 2], [0, 4]])
-    bad = CheckReport.of_matrices(a, b)
+    bad = check_cells([("A = B", a.cells(b))])
     assert not bad.ok and bad.location == (1, 0)
     assert bad.lhs == "3" and bad.rhs == "0"
 

@@ -1,7 +1,9 @@
 """Every module-level import of the library is used by its module, every
 module-level private name is read somewhere in the package, and every
 public name is read by the package, a demo or the benchmark, or is listed
-in README's Layout section."""
+in README's Layout section.  A public method counts as read only through
+an attribute, so a local variable of the same name hides nothing, and the
+re-exports of ``__init__.py`` read nothing."""
 
 import ast
 import re
@@ -47,23 +49,22 @@ def private_names(source: str) -> list:
 
 
 def public_names(source: str, module: str) -> list:
-    """(qualified name, name) for each public module-level def, class or
-    assignment, as ``module.name``, and each public method, as
+    """(qualified name, name, is_method) for each public module-level def,
+    class or assignment, as ``module.name``, and each public method, as
     ``Class.method``."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append((f"{module}.{node.name}", node.name))
+            names.append((f"{module}.{node.name}", node.name, False))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
-            names += [(f"{module}.{t.id}", t.id) for t in targets
+            names += [(f"{module}.{t.id}", t.id, False) for t in targets
                       if isinstance(t, ast.Name)]
         if isinstance(node, ast.ClassDef):
-            names += [(f"{node.name}.{f.name}", f.name) for f in node.body
-                      if isinstance(f, ast.FunctionDef)]
-    return [(qualified, name) for qualified, name in names
-            if not name.startswith("_")]
+            names += [(f"{node.name}.{f.name}", f.name, True)
+                      for f in node.body if isinstance(f, ast.FunctionDef)]
+    return [entry for entry in names if not entry[1].startswith("_")]
 
 
 def layout_section(readme: str) -> str:
@@ -71,26 +72,40 @@ def layout_section(readme: str) -> str:
     return readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
 
 
-def unlisted_unread(public, read: set, layout: str) -> list:
-    """The qualified public names that no source reads (by name, so any
-    read of the same name counts) and that ``layout`` does not list."""
-    return [qualified for qualified, name in public if name not in read
+def unlisted_unread(public, reads, layout: str) -> list:
+    """The qualified public names that no source reads and that ``layout``
+    does not list.
+
+    ``reads`` is the pair of :func:`read_names`: a method is read only as
+    an attribute, a module-level name by any load, import or attribute.
+    """
+    names, attributes = reads
+    return [qualified for qualified, name, is_method in public
+            if name not in (attributes if is_method else names)
             and not re.search(rf"(?<![\w.]){re.escape(qualified)}(?!\w)",
                               layout)]
 
 
-def read_names(sources) -> set:
-    """Every name that the sources load, import or read as an attribute."""
-    read = set()
+def read_names(sources) -> tuple:
+    """(names, attributes): every name that the sources load, import or
+    read as an attribute, and the attribute reads alone."""
+    names, attributes = set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    return read
+                names.update(alias.name for alias in node.names)
+    return names | attributes, attributes
+
+
+def public_reads(files) -> tuple:
+    """:func:`read_names` of the (file name, source) pairs other than
+    ``__init__.py``, whose imports re-export names and read none."""
+    return read_names(source for name, source in files
+                      if name != "__init__.py")
 
 
 def test_unused_imports_are_found():
@@ -115,7 +130,7 @@ def test_unread_private_names_are_found():
     other = ("from .rings import _Lowest\n"
              "import rings\n"
              "print(rings._new(object), _frac)\n")
-    read = read_names([rings, other])
+    read, _ = read_names([rings, other])
     assert [name for name in private_names(rings) if name not in read] == [
         "_near_eq"]
 
@@ -135,18 +150,31 @@ def test_unread_unlisted_public_names_are_found():
               "    def of(self):\n"
               "        return self\n"
               "    def unused(self):\n"
+              "        return self\n"
+              "    def hidden(self):\n"
               "        return self\n")
-    other = "from .grid import Grid, build\nprint(build(Grid().width()))\n"
-    read = read_names([source, other])
+    other = ("from .grid import Grid, build\n"
+             "hidden = build(Grid().width())\n"
+             "print(hidden)\n")
+    # __init__.py re-exports spare: an import there reads nothing
+    package = "from .grid import Grid, build, spare\n"
+    reads = public_reads([("grid.py", source), ("other.py", other),
+                          ("__init__.py", package)])
     public = public_names(source, "grid")
-    assert [q for q, _ in public] == [
+    assert [q for q, _, _ in public] == [
         "grid.LIMIT", "grid.build", "grid.spare", "grid.Grid", "Grid.width",
-        "Grid.of", "Grid.unused"]
+        "Grid.of", "Grid.unused", "Grid.hidden"]
     layout = "grid.py  builders; grid.spare and Grid.of for callers\n"
-    assert unlisted_unread(public, read, layout) == ["Grid.unused"]
+    # the local variable ``hidden`` is no read of the method Grid.hidden
+    assert unlisted_unread(public, reads, layout) == [
+        "Grid.unused", "Grid.hidden"]
     # a listing must name the method of its class, not a longer name
-    assert unlisted_unread(public, read, "MyGrid.of, Grid.offset") == [
-        "grid.spare", "Grid.of", "Grid.unused"]
+    assert unlisted_unread(public, reads, "MyGrid.of, Grid.offset") == [
+        "grid.spare", "Grid.of", "Grid.unused", "Grid.hidden"]
+    # read from another module, a re-export and a method call count
+    reads = public_reads([("other.py", package + "Grid().hidden()\n")])
+    assert unlisted_unread(public, reads, "") == [
+        "grid.LIMIT", "Grid.width", "Grid.of", "Grid.unused"]
     readme = "# x\n\n## Layout\n\ngrid.spare\n\n## Performance\n\nGrid.of\n"
     assert layout_section(readme) == "\ngrid.spare\n"
 
@@ -158,8 +186,9 @@ def test_module_has_no_unused_import(path):
 
 @pytest.fixture(scope="module")
 def package_reads():
-    return read_names(p.read_text(encoding="utf-8")
-                      for p in PACKAGE.glob("*.py"))
+    read, _ = read_names(p.read_text(encoding="utf-8")
+                         for p in PACKAGE.glob("*.py"))
+    return read
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -171,9 +200,10 @@ def test_module_private_names_are_read(path, package_reads):
 def test_public_names_are_read_or_listed_in_layout():
     sources = [p for folder in (PACKAGE, ROOT / "demos", ROOT / "perfbench")
                for p in folder.glob("*.py")]
-    read = read_names(p.read_text(encoding="utf-8") for p in sources)
+    reads = public_reads((p.name, p.read_text(encoding="utf-8"))
+                         for p in sources)
     layout = layout_section((ROOT / "README.md").read_text(encoding="utf-8"))
     public = [entry for path in MODULES
               for entry in public_names(path.read_text(encoding="utf-8"),
                                         path.stem)]
-    assert unlisted_unread(public, read, layout) == []
+    assert unlisted_unread(public, reads, layout) == []

@@ -46,6 +46,17 @@ def test_ensemble_counts_partition():
         pathsum.path_sum(3, 1, 4)
 
 
+def test_partition_check_reports_the_count_at_each_position(monkeypatch):
+    report = pathsum.partition_check(5)
+    assert report.ok and report.n == 5
+    # a wrong binomial fails at its position, count against C(n,p)
+    monkeypatch.setattr(pathsum, "comb", lambda n, p: math.comb(n, p) + (p == 2))
+    report = pathsum.partition_check(5)
+    assert not report.ok
+    assert (report.note, report.n, report.location, report.lhs,
+            report.rhs) == ("paths to p = C(n,p)", 5, (2,), "10", "11")
+
+
 def test_partition_check_refuses_orders_it_cannot_sweep():
     for n in (pathsum.ENUM_BOUND_NUMERIC + 1, -1):
         with pytest.raises(ValueError, match="enumeration bound"):

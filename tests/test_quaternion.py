@@ -72,8 +72,9 @@ def test_matrix_representations():
     fg = qt.to_matrix2(qt.F) @ qt.to_matrix2(qt.G)
     assert fg == qt.to_matrix2(-qt.I_S)
     # trace of a pure quaternion is zero in both representations
-    assert qt.to_matrix2(qt.hamilton(0, 2, -1, 5)).trace() == Gaussian(0)
-    assert qt.to_matrix2(qt.split(0, 2, -1, 5)).trace() == 0
+    for pure in (qt.hamilton(0, 2, -1, 5), qt.split(0, 2, -1, 5)):
+        m = qt.to_matrix2(pure)
+        assert m[0, 0] + m[1, 1] == 0
 
 
 def test_matrix_representation_is_homomorphism_random():

@@ -79,13 +79,6 @@ def test_root2_sqrt2_squares_to_two():
     assert sqrt2_power(6) == RootTwo(8, 0)
 
 
-def test_root2_division():
-    x = RootTwo(Fraction(3), Fraction(2))
-    assert (x / x) == RootTwo(1, 0)
-    with pytest.raises(ZeroDivisionError):
-        x / RootTwo(0, 0)
-
-
 def test_gaussian_unit():
     i = Gaussian(0, 1)
     assert i * i == Gaussian(-1, 0)
@@ -329,12 +322,6 @@ def test_exact_types_match_fraction_model(model, a, b, c, d):
     assert x == cls(a, b) and hash(x) == hash(cls(a, b))
     if b == 0:
         assert x == a and hash(x) == hash(a)
-    if cls is RootTwo and (c, d) != (0, 0):
-        quotient = model_of(x / y)
-        assert cls(*quotient) * y == x
-        norm = c * c - 2 * d * d
-        assert quotient == ((a * c - 2 * b * d) / norm,
-                            (b * c - a * d) / norm)
 
 
 @pytest.mark.parametrize("cls", [Gaussian, RootTwo])

@@ -1,5 +1,7 @@
 """Binomial transform, skew-diagonalization, and exact eigenvectors."""
 
+import re
+
 import pytest
 
 from krawtchouk import core, spectral
@@ -26,7 +28,6 @@ def test_binomial_matrix_and_inverse():
     for n in (2, 4, 6, 9):
         b = spectral.binomial_matrix(n)
         assert b @ spectral.b_inverse(n) == Matrix.identity(n + 1)
-        assert b.map(lambda x: RootTwo(x), ROOT2).det() == RootTwo(1)
 
 
 def test_skew_power_matrix_layout():
@@ -49,6 +50,31 @@ def test_transform_of_binomial_vectors():
 @pytest.mark.parametrize("n", range(11))
 def test_k_from_bdb_inverse(n):
     assert spectral.k_from_BDBinv(n).mat == core.k_genfunc(n).mat
+
+
+def test_self_checks_name_their_check_order_and_cell(monkeypatch):
+    # K^(3)[2, 1] = -1, off by one in the reference the self-checks read
+    real = spectral.k_reference
+
+    def corrupted(n):
+        rows = [list(row) for row in real(n).data]
+        rows[2][1] += 1
+        return Matrix(ZZ, rows)
+
+    monkeypatch.setattr(spectral, "k_reference", corrupted)
+    with pytest.raises(AssertionError, match=re.escape(
+            "n=3, location=(2, 1), lhs='-1', rhs='0', note='B D B^-1 = K'")):
+        spectral.k_from_BDBinv(3)
+    # column 0 of B X is v = 2^(3/2) b^(0) + b^(3) = [1+2√2, 3, 3, 1], so
+    # row 2 of K' v gains v[1] = 3 over 2^(3/2) v[2] = 6√2
+    with pytest.raises(AssertionError, match=re.escape(
+            "n=3, location=(2, 0), lhs='3+6√2', rhs='6√2', "
+            "note='K (B X) = (B X) E'")):
+        spectral.eigen_factors(3)
+    with pytest.raises(AssertionError, match=re.escape(
+            "n=3, location=(2,), lhs='3+6√2', rhs='6√2', "
+            "note='K v = +2^(n/2) v'")):
+        spectral.eigenvector(3, 0, "+")
 
 
 def test_eigen_factor_matrices_match_worked_example():
@@ -112,5 +138,15 @@ def test_spectral_decomposition_exact(n):
     # eigenvalue consistency with the involution
     assert factors.e @ factors.e == \
         Matrix.identity(n + 1, ROOT2).scale(RootTwo(2 ** n))
-    # X itself is invertible: nonzero exact determinant
-    assert factors.x.det() != RootTwo(0)
+    # X itself is invertible: outside its diagonal and skew diagonal it is
+    # zero, so up to a permutation it is the 2x2 blocks on rows and columns
+    # {j, n-j}, j < n/2, plus the center entry for even n, and none of them
+    # is singular
+    x = factors.x
+    idx = range(n + 1)
+    assert all(x[i, j] == 0 for i in idx for j in idx if i not in (j, n - j))
+    for j in range((n + 1) // 2):
+        i = n - j
+        assert x[j, j] * x[i, i] - x[j, i] * x[i, j] != 0
+    if n % 2 == 0:
+        assert x[n // 2, n // 2] != 0

@@ -152,11 +152,15 @@ def test_additivity_and_bracket_random():
 
 def test_derivative_route_agrees_with_dictionary():
     rng = random.Random(23)
-    for n in range(7):
+    for n in range(13):
         for _ in range(6):
-            a = rand2(rng)
+            a = rand2(rng, -9, 9)
             assert sympow.sym_algebra_power_by_derivative(a, n) == \
                 sympow.sym_algebra_power(a, n)
+    # the lanes hold integer coefficients only
+    with pytest.raises(ValueError, match="integer matrix"):
+        sympow.sym_algebra_power_by_derivative(
+            Matrix(QQ, [[Fraction(1, 2)] * 2] * 2), 2)
 
 
 def test_algebra_power_operator_dictionary():
