@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 from . import core, generalized, gf2, hadamard, pathsum, spectral, sympow, verify
 from .core import DEFAULT_ORDER_BOUND
@@ -122,19 +122,30 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _out_path(outdir: str, name: str) -> str:
+    """outdir/name spelled as pathlib spells it on POSIX: empty and '.'
+    parts dropped, and a leading '//' kept only when exactly two."""
+    root = outdir[:len(outdir) - len(outdir.lstrip("/"))]
+    root = root if root == "//" else root[:1]
+    parts = [part for part in outdir.split("/") if part not in ("", ".")]
+    return root + "/".join(parts + [name])
+
+
+def _write(outdir: str, name: str, text: str) -> str:
+    path = _out_path(outdir, name)
+    with open(path, "w") as out:
+        out.write(text)
+    return path
+
+
 def cmd_snake(args) -> int:
     k = generalized.k_phase(args.n, parse_phi(args.phi))
     svg = generalized.snake_svg(k)  # refuses order 0 before any file exists
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for q in range(1, args.n + 1):
-        path = outdir / f"snake_n{args.n}_col{q}.csv"
-        path.write_text(generalized.snake_csv(k, q))
-        written.append(path)
-    svg_path = outdir / f"snake_n{args.n}.svg"
-    svg_path.write_text(svg)
-    written.append(svg_path)
+    os.makedirs(args.out or ".", exist_ok=True)
+    written = [_write(args.out, f"snake_n{args.n}_col{q}.csv",
+                      generalized.snake_csv(k, q))
+               for q in range(1, args.n + 1)]
+    written.append(_write(args.out, f"snake_n{args.n}.svg", svg))
     for path in written:
         print(path)
     return 0

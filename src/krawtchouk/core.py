@@ -32,7 +32,7 @@ Sylvester-matrix route to the symmetric variant.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -47,13 +47,18 @@ DEFAULT_ORDER_BOUND = 64
 METHODS = ("GenFunc", "BinomialSum", "PyramidRecurrence", "PathSumOracle")
 
 
-@dataclass(frozen=True)
-class KrawtchoukMatrix:
-    """An order-n Krawtchouk matrix tagged with the method that built it."""
+class KrawtchoukMatrix(namedtuple("KrawtchoukMatrix", "order mat method")):
+    """An order-n Krawtchouk matrix tagged with the method that built it.
 
-    order: int
-    mat: Matrix
-    method: str
+    It equals, and hashes as, its matrix: the method tag is ignored.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, mat: Matrix, method: str):
+        self = super().__new__(cls, order, mat, method)
+        self.__post_init__()  # looked up on the class, so it can be wrapped
+        return self
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -68,6 +73,13 @@ class KrawtchoukMatrix:
         if isinstance(other, Matrix):
             return self.mat == other
         return NotImplemented
+
+    def __ne__(self, other):  # else tuple.__ne__ would answer
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self.mat)
 
 
 def genfunc_column(n: int, q: int) -> list:

@@ -16,7 +16,7 @@ dim(W-perp) = 1, so a dimension factor cannot be right in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import k_reference
 from .matrix import CheckReport, check_cells, vector_cells
@@ -63,12 +63,10 @@ def _rref(vectors, n: int):
     return tuple(sorted(basis, key=lambda r: r & -r))
 
 
-@dataclass(frozen=True)
-class BinarySubspace:
+class BinarySubspace(namedtuple("BinarySubspace", "n basis")):
     """Subspace of Z_2^n held as a canonical rref basis of packed vectors."""
 
-    n: int
-    basis: tuple
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -78,11 +76,12 @@ class BinarySubspace:
         """All 2^dim elements, by Gray-code walk over basis combinations."""
         if self.dim > ENUM_BOUND:
             raise ValueError(f"enumeration bound is dim <= {ENUM_BOUND}")
+        basis = self.basis  # a local: a namedtuple field is a slow lookup
         current = 0
         yield 0
         for counter in range(1, 2 ** self.dim):
             flip = (counter & -counter).bit_length() - 1
-            current ^= self.basis[flip]
+            current ^= basis[flip]
             yield current
 
     def __str__(self):

@@ -19,9 +19,8 @@ error.
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, product
 
 from .lanes import Lanes, lane_bits
@@ -238,6 +237,8 @@ class Matrix:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
+        import json  # on demand: most runs never serialize, so import skips it
+
         payload = {
             "rows": self.rows,
             "cols": self.cols,
@@ -248,6 +249,8 @@ class Matrix:
 
     @staticmethod
     def from_json(text: str) -> "Matrix":
+        import json
+
         payload = json.loads(text)
         ring = RINGS[payload["ring"]]
         entries = [[ring.parse(s) for s in row] for row in payload["entries"]]
@@ -267,8 +270,8 @@ class Matrix:
         return Matrix(ring, rows)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "ok n location lhs rhs note",
+                              defaults=(None, None, "", "", ""))):
     """Outcome of one identity check with the first mismatch, if any.
 
     On a failure ``note`` names the identity, ``location`` indexes the
@@ -276,12 +279,7 @@ class CheckReport:
     ``lhs``/``rhs`` print its two sides.
     """
 
-    ok: bool
-    n: int | None = None
-    location: tuple | None = None
-    lhs: str = ""
-    rhs: str = ""
-    note: str = ""
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -317,13 +315,13 @@ def vector_cells(lhs, rhs):
     return zip(product(range(len(lhs))), lhs, rhs)
 
 
-@dataclass
 class SuiteReport:
     """Aggregate of a named verification suite, JSON-schema friendly."""
 
-    suite: str
-    n_max: int
-    failures: list = field(default_factory=list)
+    def __init__(self, suite: str, n_max: int):
+        self.suite = suite
+        self.n_max = n_max
+        self.failures = []
 
     @property
     def ok(self) -> bool:

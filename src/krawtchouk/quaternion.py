@@ -24,7 +24,7 @@ kind and the unrolled sum, product, conjugation, norm and inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
@@ -170,13 +170,10 @@ I_S, F, G = split(0, 1), split(0, 0, 1), split(0, 0, 0, 1)
 H = F + G  # the 2x2 Hadamard matrix as a split quaternion
 
 
-@dataclass(frozen=True)
-class MinkowskiVector:
+class MinkowskiVector(namedtuple("MinkowskiVector", "t x y")):
     """Pure split quaternion t*i + x*F + y*G viewed as a vector in R^{1,2}."""
 
-    t: Fraction
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
 
     def as_quaternion(self) -> Quaternion:
         return split(0, self.t, self.x, self.y)

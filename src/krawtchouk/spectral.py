@@ -18,7 +18,7 @@ be 2^q (i.e. D_{n-q,q} = 2^q); the n = 3 instance is skewdiag(8, 4, 2, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .core import KrawtchoukMatrix, k_reference
@@ -89,13 +89,10 @@ def k_from_BDBinv(n: int):
     return KrawtchoukMatrix(n, reference, "GenFunc")
 
 
-@dataclass(frozen=True)
-class EigenFactor:
+class EigenFactor(namedtuple("EigenFactor", "order x e")):
     """X and E of the spectral identity K (B X) = (B X) E over Q[sqrt(2)]."""
 
-    order: int
-    x: Matrix
-    e: Matrix
+    __slots__ = ()
 
 
 def eigen_factors(n: int) -> EigenFactor:

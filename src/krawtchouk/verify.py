@@ -20,7 +20,6 @@ execution order.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -50,8 +49,7 @@ def _instance(index: tuple, report: CheckReport) -> CheckReport:
     """
     if report.ok:
         return report
-    return dataclasses.replace(report,
-                               location=(*index, *(report.location or ())))
+    return report._replace(location=(*index, *(report.location or ())))
 
 
 def _suite_construction(n_max: int, seed: int) -> SuiteReport:

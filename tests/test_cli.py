@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -242,6 +242,25 @@ def test_snake_builds_the_phase_matrix_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 8  # 7 CSV files and the SVG
     assert calls == [(7, 0.7)]
+
+
+@pytest.mark.parametrize("out", ["figs", "figs/", "./figs", "figs//sub/./",
+                                 ".", "./", "", "{tmp}//abs/"])
+def test_snake_prints_its_paths_as_pathlib_spells_them(tmp_path, capsys,
+                                                       monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    out = out.format(tmp=tmp_path)
+    code, printed, _ = run_cli(capsys, "snake", "--n", "2", "--out", out)
+    assert code == 0
+    names = ["snake_n2_col1.csv", "snake_n2_col2.csv", "snake_n2.svg"]
+    assert printed.splitlines() == [str(Path(out) / name) for name in names]
+    assert all((Path(out) / name).is_file() for name in names)
+
+
+@pytest.mark.parametrize("out", ["//net", "///net", "/", "a/../b", "..",
+                                 "x/.", ".hidden"])
+def test_snake_path_spelling_matches_pathlib(out):
+    assert cli._out_path(out, "f.svg") == str(PurePosixPath(out) / "f.svg")
 
 
 def test_snake_refuses_order_zero_before_writing(tmp_path, capsys):

@@ -32,6 +32,19 @@ def test_genfunc_columns_are_the_single_column_expansions(n):
         core.genfunc_column(n, q) for q in range(n + 1)]
 
 
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_tagged_matrices_hash_as_they_compare(n):
+    # the method tag is ignored by == and so must be by hash
+    tagged = [core.k_genfunc(n), core.k_binsum(n), hadamard.k_pyramid(n),
+              pathsum.k_pathsum(n)]
+    assert [km.method for km in tagged] == list(core.METHODS)
+    assert len(set(tagged)) == 1
+    for km in tagged:
+        assert km == km.mat and not km != km.mat and not km.mat != km
+        assert hash(km) == hash(km.mat)
+    assert core.k_genfunc(n) != core.k_genfunc(n + 1)
+
+
 @pytest.mark.parametrize("n", [96, 192])
 def test_genfunc_equals_binsum_at_high_order(n):
     assert core.k_genfunc(n) == core.k_binsum(n)

@@ -3,10 +3,13 @@ module-level private name is read somewhere in the package, and every
 public name is read by the package, a demo or the benchmark, or is listed
 in README's Layout section.  A public method counts as read only through
 an attribute, so a local variable of the same name hides nothing, and the
-re-exports of ``__init__.py`` read nothing."""
+re-exports of ``__init__.py`` read nothing.  Importing the package loads
+none of the heavy standard modules it does not need."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,3 +210,27 @@ def test_public_names_are_read_or_listed_in_layout():
               for entry in public_names(path.read_text(encoding="utf-8"),
                                         path.stem)]
     assert unlisted_unread(public, reads, layout) == []
+
+
+# ``dataclasses`` and what it drags in, ``typing``, and ``json`` and
+# ``pathlib``, which only serializing and the CLI need
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json",
+         "pathlib"}
+
+
+@pytest.mark.parametrize("module, needed", [
+    ("krawtchouk", set()),
+    ("krawtchouk.cli", {"argparse", "json"}),
+], ids=["krawtchouk", "krawtchouk.cli"])
+def test_import_loads_no_heavy_standard_module(module, needed):
+    # -S: site-packages .pth files may preload some of these and hide a
+    # regression; the probe sees only what the import itself loads
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+             f"import {module}; print(sorted(sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stdout))
+    assert module in loaded
+    assert sorted(loaded & (HEAVY - needed)) == []
+    assert needed <= loaded
