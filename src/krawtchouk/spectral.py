@@ -159,7 +159,10 @@ def eigenvector(n: int, k: int, sign: str) -> list:
 
 
 def spectral_suite_check(n: int) -> CheckReport:
-    """Everything above at once, plus E^2 = 2^n I; used by the CLI."""
+    """Everything above at once, plus E^2 = 2^n I.
+
+    The ``verify`` spectral suite runs it once per order.
+    """
     k, b = k_reference(n), binomial_matrix(n)
     bdb, reference = _bdb_sides(n)
     report = check_cells([_transform_check(n, k, b),

@@ -1,8 +1,9 @@
 """Named verification suites over ranges of matrix orders.
 
-Each suite sweeps an identity family up to an order cap and reports
-failures in a machine-readable form; the CLI `verify` subcommand is a thin
-wrapper.  Every identity is checked cell by cell through
+Each suite sweeps an identity family up to an order cap and yields a
+:class:`~krawtchouk.matrix.CheckReport` per check; :func:`run_suites`
+names, seeds and records every suite, and the CLI `verify` subcommand is a
+thin wrapper.  Every identity is checked cell by cell through
 :func:`krawtchouk.matrix.check_cells`, so a failure names its check, the
 order n, the first bad cell and its two sides.  The location is [i, j] in a
 matrix, [i] in a vector and null for a scalar identity or for two sides of
@@ -11,17 +12,15 @@ A randomized check puts the index of its random instance first.  The
 quaternion suite proves its algebra identities on a basis, and a basis
 check puts the indices of its two basis elements first: 0..3 for the
 units 1, i, j (F), k (G) and 4..9 for the sums e_a + e_b, a < b, in
-lexicographic order (4 = 1 + i, ..., 9 = j + k).  A suite keeps the first
-failure of each check and order.
-Suites are deterministic: randomized ones derive everything from an
-explicit seed, and the report is ordered by suite name regardless of
-execution order.
+lexicographic order (4 = 1 + i, ..., 9 = j + k).  A suite's report keeps
+the first failure of each check and order.  Suites are deterministic: each
+draws from its own generator seeded with the explicit seed, and the
+reports are ordered by suite name regardless of execution order.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -52,11 +51,10 @@ def _instance(index: tuple, report: CheckReport) -> CheckReport:
     return report._replace(location=(*index, *(report.location or ())))
 
 
-def _suite_construction(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("construction-equivalence", n_max)
+def _suite_construction(n_max: int, _rng):
     for n in range(n_max + 1):
         ref = core.k_reference(n)
-        report.record(core.construction_equivalence_check(n))
+        yield core.construction_equivalence_check(n)
         checks = [
             ("H^on = K", sympow.sym_group_power(sympow.MAT_H, n).cells(ref)),
             ("pyramid recurrence = K", hadamard.k_pyramid(n).mat.cells(ref)),
@@ -69,64 +67,50 @@ def _suite_construction(n_max: int, seed: int) -> SuiteReport:
                  (((p, q), pathsum.twiston_energy(n, q, p), ref[p, q])
                   for p in idx for q in idx)),
             ]
-            report.record(pathsum.partition_check(n))
-        report.record(check_cells(checks, n=n))
-    return report
+            yield pathsum.partition_check(n)
+        yield check_cells(checks, n=n)
 
 
-def _suite_involution(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("involution", n_max)
+def _suite_involution(n_max: int, _rng):
     for n in range(n_max + 1):
-        report.record(core.involution_check(n))
-    return report
+        yield core.involution_check(n)
 
 
-def _suite_master(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("master", n_max)
+def _suite_master(n_max: int, _rng):
     for n in range(1, n_max + 1):
-        report.record(core.master_check(n))
-        report.record(sympow.master_from_tensor_check(n))
-    return report
+        yield core.master_check(n)
+        yield sympow.master_from_tensor_check(n)
 
 
-def _suite_ortho(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("ortho", n_max)
+def _suite_ortho(n_max: int, _rng):
     for n in range(1, n_max + 1):
-        report.record(core.ortho_check(n))
-    return report
+        yield core.ortho_check(n)
 
 
-def _suite_spectral(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("spectral", n_max)
+def _suite_spectral(n_max: int, _rng):
     for n in range(min(n_max, SPECTRAL_CAP) + 1):
-        report.record(spectral.spectral_suite_check(n))
-    return report
+        yield spectral.spectral_suite_check(n)
 
 
-def _suite_cross(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("cross", n_max)
+def _suite_cross(n_max: int, _rng):
     for n in range(1, min(n_max, SYMBOLIC_CAP) + 1):
-        report.record(generalized.general_cross_check(n))
+        yield generalized.general_cross_check(n)
         symbolic = generalized.k_general_symbolic(n)
         classical = generalized.specialize(symbolic, 1, -1)
-        report.record(check_cells(
+        yield check_cells(
             [("K(alpha, beta) at (1,-1) = K",
-              classical.cells(core.k_reference(n)))], n=n))
-    return report
+              classical.cells(core.k_reference(n)))], n=n)
 
 
-def _suite_trace(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("trace", n_max)
+def _suite_trace(n_max: int, _rng):
     for n in range(1, min(n_max, SYMBOLIC_CAP) + 1):
-        report.record(generalized.trace_identity_check(n))
+        yield generalized.trace_identity_check(n)
     for n in range(1, n_max + 1):
-        report.record(generalized.trace_identity_check(n, 1, -1))
-    return report
+        yield generalized.trace_identity_check(n, 1, -1)
 
 
-def _suite_quaternion(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("quaternion", n_max)
-    report.record(quaternion.jhhk_check())
+def _suite_quaternion(_n_max: int, rng):
+    yield quaternion.jhhk_check()
     images = quaternion.hadamard_conjugation()
     r, l, n_iso = quaternion.isotropic_basis()
     half = Fraction(1, 2)
@@ -136,32 +120,30 @@ def _suite_quaternion(n_max: int, seed: int) -> SuiteReport:
         "R": quaternion.split(0, -half, 0, half),   # (G - i)/2
         "L": quaternion.split(0, half, 0, half),    # (G + i)/2
     }
-    report.record(check_cells(
+    yield check_cells(
         [(f"H {name} H^-1", [(None, images[name], want)])
          for name, want in expected.items()]
         + [(f"null vector {name}", [(None, vec.norm2(), 0)])
-           for name, vec in (("R", r), ("L", l))]))
+           for name, vec in (("R", r), ("L", l))])
 
     # The basis proves each identity for every rational pair, given that
     # the implementation is bilinear over Q; the seeded rational draws,
     # with their non-unit denominators, are what exercise that.
-    rng = random.Random(seed)
     for kind_name, kind in (("hamilton", quaternion.HAMILTON),
                             ("split", quaternion.SPLIT)):
         basis = _polarization_basis(kind)
         for s, t in product(range(4), repeat=2):
-            report.record(_instance((s, t), check_cells(_bilinear_checks(
-                kind_name, "on the basis", basis[s], basis[t]))))
+            yield _instance((s, t), check_cells(_bilinear_checks(
+                kind_name, "on the basis", basis[s], basis[t])))
         for s, t in product(range(len(basis)), repeat=2):
-            report.record(_instance((s, t), check_cells(_norm_checks(
-                kind_name, "on the basis", basis[s], basis[t]))))
+            yield _instance((s, t), check_cells(_norm_checks(
+                kind_name, "on the basis", basis[s], basis[t])))
         for t in range(RANDOM_QUATERNIONS):
             p = _random_quaternion(rng, kind)
             q = _random_quaternion(rng, kind)
-            report.record(_instance((t,), check_cells(
+            yield _instance((t,), check_cells(
                 _norm_checks(kind_name, "at random", p, q)
-                + _bilinear_checks(kind_name, "at random", p, q))))
-    return report
+                + _bilinear_checks(kind_name, "at random", p, q)))
 
 
 def _polarization_basis(kind: str) -> list:
@@ -192,7 +174,7 @@ def _bilinear_checks(kind_name: str, where: str, p, q) -> list:
              lhs.cells(quaternion.to_matrix2(pq)))]
 
 
-def _random_quaternion(rng: random.Random, kind: str):
+def _random_quaternion(rng, kind: str):
     """Four random coefficients num/den, num in -9..9 and den in 1..9.
 
     Each component draws its numerator, then its denominator.
@@ -202,16 +184,14 @@ def _random_quaternion(rng: random.Random, kind: str):
                 for _ in range(4)])
 
 
-def _suite_sympow(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("sympow", n_max)
+def _suite_sympow(n_max: int, rng):
     for n in range(1, n_max + 1):
-        report.record(sympow.lrn_relations_check(n))
-        report.record(sympow.symmetry_check(n))
-        report.record(sympow.skew_factorization_check(n))
+        yield sympow.lrn_relations_check(n)
+        yield sympow.symmetry_check(n)
+        yield sympow.skew_factorization_check(n)
         if n <= KRON_CAP:
-            report.record(sympow.kron_remark_check(n))
+            yield sympow.kron_remark_check(n)
 
-    rng = random.Random(seed)
     group, algebra = sympow.sym_group_power, sympow.sym_algebra_power
     for n in range(1, min(n_max, KRON_CAP) + 1):
         for t in range(10):
@@ -220,7 +200,7 @@ def _suite_sympow(n_max: int, seed: int) -> SuiteReport:
             b = Matrix(ZZ, [[rng.randint(-4, 4) for _ in range(2)]
                             for _ in range(2)])
             alg_a, alg_b = algebra(a, n), algebra(b, n)
-            report.record(_instance((t,), check_cells([
+            yield _instance((t,), check_cells([
                 ("functoriality",
                  group(a @ b, n).cells(group(a, n) @ group(b, n))),
                 ("additivity", algebra(a + b, n).cells(alg_a + alg_b)),
@@ -228,61 +208,50 @@ def _suite_sympow(n_max: int, seed: int) -> SuiteReport:
                     alg_a @ alg_b - alg_b @ alg_a)),
                 ("derivative cross-check",
                  sympow.sym_algebra_power_by_derivative(a, n).cells(alg_a)),
-            ], n=n)))
-    return report
+            ], n=n))
 
 
-def _suite_reduction(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("hadamard-reduction", n_max)
+def _suite_reduction(n_max: int, _rng):
     for n in range(min(n_max, REDUCTION_CAP) + 1):
         reduced = hadamard.reduce_to_symmetric(n)
         labels = hadamard.weight_labels(n)
         counts = [labels.count(p) for p in range(n + 1)]
-        report.record(check_cells([
+        yield check_cells([
             ("Sylvester reduction = K Gamma",
              reduced.cells(core.k_symmetric(n))),
             ("weight class sizes = C(n,p)",
              vector_cells(counts, [comb(n, p) for p in range(n + 1)])),
-        ], n=n))
-    return report
+        ], n=n)
 
 
-def _suite_pyramid(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("pyramid", n_max)
-    report.record(hadamard.pyramid_cross_check(max(2, min(n_max, REDUCTION_CAP))))
+def _suite_pyramid(n_max: int, _rng):
+    yield hadamard.pyramid_cross_check(max(2, min(n_max, REDUCTION_CAP)))
     for depth in range(3):
         rows = 5
         planes = {direction: hadamard.pyramid_plane(direction, depth, rows)
                   for direction in hadamard.DIRECTIONS}
         for r in range(rows):
             m = depth + r
-            line = range(m + 1)
-            want = {
-                "west-down": [core.k_entry(m, p, depth) for p in line],
-                "east-down": [core.k_entry(m, p, r) for p in line],
-                "north-up": [core.k_entry(m, depth, q) for q in line],
-                "south-up": [core.k_entry(m, m - depth, q) for q in line],
-            }
-            report.record(check_cells(
+            ref = core.k_reference(m)
+            want = {"west-down": ref.col(depth), "east-down": ref.col(r),
+                    "north-up": ref.row(depth), "south-up": ref.row(m - depth)}
+            yield check_cells(
                 [(f"{direction} plane, depth {depth}",
                   vector_cells(plane[r], want[direction]))
-                 for direction, plane in planes.items()], n=m))
-    return report
+                 for direction, plane in planes.items()], n=m)
 
 
-def _suite_macwilliams(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("macwilliams", n_max)
+def _suite_macwilliams(n_max: int, rng):
     worked = gf2.subspace_from(["110"], 3)
-    report.record(gf2.macwilliams_check(worked))
-    report.record(check_cells([
+    yield gf2.macwilliams_check(worked)
+    yield check_cells([
         ("worked example character", vector_cells(
             gf2.weight_character(worked), [1, 0, 1, 0])),
         ("worked example complement", vector_cells(
             gf2.weight_character(gf2.complement(worked)),
             [1, 1, 1, 1])),
-    ], n=3))
+    ], n=3)
 
-    rng = random.Random(seed)
     cap = max(2, min(n_max, REDUCTION_CAP))
     for t in range(RANDOM_SUBSPACES):
         n = rng.randint(2, cap)
@@ -291,32 +260,29 @@ def _suite_macwilliams(n_max: int, seed: int) -> SuiteReport:
         # K (K char) = 2^n char, consistency with the involution
         k = core.k_reference(n)
         char = gf2.weight_character(space)
-        report.record(_instance((t,), gf2.macwilliams_check(space)))
-        report.record(_instance((t,), check_cells([
+        yield _instance((t,), gf2.macwilliams_check(space))
+        yield _instance((t,), check_cells([
             ("dim W + dim W-perp = n", [(None, space.dim + perp.dim, n)]),
             ("double complement", [(None, gf2.complement(perp), space)]),
             ("K (K char) = 2^n char",
              vector_cells(k.mul_vector(k.mul_vector(char)),
                           [2 ** n * c for c in char])),
-        ], n=n)))
+        ], n=n))
 
     for n in range(1, min(n_max, REDUCTION_CAP) + 1):
         for k_dim in range(n + 1):
             axes = gf2.subspace_from([1 << i for i in range(k_dim)], n)
-            report.record(gf2.coordinate_subspace_note(axes))
-    return report
+            yield gf2.coordinate_subspace_note(axes)
 
 
-def _suite_phase(n_max: int, seed: int) -> SuiteReport:
-    report = SuiteReport("phase", n_max)
+def _suite_phase(n_max: int, _rng):
     for n in range(min(n_max, SPECTRAL_CAP) + 1):
-        report.record(generalized.phase_coherence_check(n))
+        yield generalized.phase_coherence_check(n)
         if 1 <= n <= PATH_CAP:
             oracle = pathsum.oracle_matrix(n, Gaussian(1), Gaussian(0, 1))
-            report.record(check_cells(
+            yield check_cells(
                 [("path sum = K(i)",
-                  oracle.cells(generalized.k_phase(n, math.pi / 2)))], n=n))
-    return report
+                  oracle.cells(generalized.k_phase(n, math.pi / 2)))], n=n)
 
 
 SUITES = {
@@ -337,14 +303,21 @@ SUITES = {
 
 
 def run_suites(names, n_max: int = 6, seed: int = 0):
-    """Run the named suites (or all) and return reports sorted by name."""
+    """Run the named suites (or all) and return reports sorted by name.
+
+    Each suite draws from its own ``random.Random(seed)``.
+    """
+    import random
+
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    if "all" in names:
-        picked = sorted(SUITES)
-    else:
-        unknown = [s for s in names if s not in SUITES]
-        if unknown:
-            raise KeyError(f"unknown suites: {', '.join(unknown)}")
-        picked = sorted(set(names))
-    return [SUITES[name](n_max, seed) for name in picked]
+    unknown = [s for s in names if s != "all" and s not in SUITES]
+    if unknown:
+        raise KeyError(f"unknown suites: {', '.join(unknown)}")
+    reports = []
+    for name in sorted(SUITES) if "all" in names else sorted(set(names)):
+        report = SuiteReport(name, n_max)
+        for check in SUITES[name](n_max, random.Random(seed)):
+            report.record(check)
+        reports.append(report)
+    return reports

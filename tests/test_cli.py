@@ -162,6 +162,13 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suites" in err
 
 
+def test_verify_refuses_an_unknown_suite_next_to_all(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suites", "all,bogus")
+    assert code == 2
+    assert out == ""
+    assert err == "unknown suites: bogus\n"
+
+
 def test_verify_refuses_a_negative_order(capsys):
     code, out, err = run_cli(capsys, "verify", "--suites", "master",
                              "--n-max", "-5")

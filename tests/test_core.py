@@ -374,16 +374,43 @@ def test_genfunc_builds_a_new_matrix_each_call():
     assert core.k_reference(5) == first.mat
 
 
-def test_run_suites_refuses_a_negative_order(monkeypatch):
-    def never(n_max, seed):
+@pytest.fixture
+def no_suite_runs(monkeypatch):
+    def never(n_max, rng):
         raise AssertionError("a suite ran")
 
     monkeypatch.setattr(verify, "SUITES",
                         {name: never for name in verify.SUITES})
+
+
+def test_run_suites_refuses_a_negative_order(no_suite_runs):
     for names in (["all"], ["master"], ["quaternion", "phase"]):
         with pytest.raises(ValueError, match="n_max"):
             verify.run_suites(names, n_max=-1)
     assert verify.run_suites([], n_max=0) == []
+
+
+def test_run_suites_refuses_an_unknown_name_next_to_all(no_suite_runs):
+    with pytest.raises(KeyError, match="unknown suites: bogus"):
+        verify.run_suites(["all", "bogus"])
+
+
+def test_pyramid_suite_compares_the_bottom_row_with_the_reference(
+        monkeypatch):
+    # K(6,2,0) + 16 keeps row 2 of K^(6) of one parity, so the north-up
+    # plane of depth 2 halves up from that wrong bottom row unhindered
+    real = core.k_entry
+
+    def corrupted(n, p, q):
+        return real(n, p, q) + 16 * ((n, p, q) == (6, 2, 0))
+
+    monkeypatch.setattr(core, "k_entry", corrupted)
+    monkeypatch.setattr(hadamard, "k_entry", corrupted)
+    report, = verify.run_suites(["pyramid"], n_max=6)
+    assert [(f["n"], f["check"], f["location"]) for f in report.failures] == [
+        (n, "north-up plane, depth 2", [0]) for n in range(2, 7)]
+    assert report.failures[-1]["lhs"] == "31"       # C(6, 2) + 16
+    assert report.failures[-1]["rhs"] == "15"
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -3,8 +3,10 @@ module-level private name is read somewhere in the package, and every
 public name is read by the package, a demo or the benchmark, or is listed
 in README's Layout section.  A public method counts as read only through
 an attribute, so a local variable of the same name hides nothing, and the
-re-exports of ``__init__.py`` read nothing.  Importing the package loads
-none of the heavy standard modules it does not need."""
+re-exports of ``__init__.py`` read nothing.  Every function reads each of
+its parameters other than ``self``, ``cls`` and names that start with
+``_``.  Importing the package loads none of the heavy standard modules it
+does not need."""
 
 import ast
 import re
@@ -68,6 +70,27 @@ def public_names(source: str, module: str) -> list:
             names += [(f"{node.name}.{f.name}", f.name, True)
                       for f in node.body if isinstance(f, ast.FunctionDef)]
     return [entry for entry in names if not entry[1].startswith("_")]
+
+
+def unused_parameters(source: str) -> list:
+    """(function, parameter) for each parameter of a def or lambda that its
+    body never reads.  ``self``, ``cls`` and names that start with ``_``
+    are exempt."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        named = args.posonlyargs + args.args + args.kwonlyargs
+        params = [a.arg for a in named + [args.vararg, args.kwarg] if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for statement in body for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [(getattr(node, "name", "<lambda>"), name) for name in params
+                   if name not in read and name not in ("self", "cls")
+                   and not name.startswith("_")]
+    return unused
 
 
 def layout_section(readme: str) -> str:
@@ -182,9 +205,33 @@ def test_unread_unlisted_public_names_are_found():
     assert layout_section(readme) == "\ngrid.spare\n"
 
 
+def test_unused_parameters_are_found():
+    source = ("def f(a, b, _c, *args, d=1, **kw):\n"
+              "    return a + d\n"
+              "class Grid:\n"
+              "    def at(self, x):\n"
+              "        def inner():\n"
+              "            return x\n"
+              "        return inner\n"
+              "    @classmethod\n"
+              "    def make(cls, y):\n"
+              "        y = 2\n"
+              "        return cls\n"
+              "g = lambda u, v: u\n")
+    # a nested function's read counts; an assignment is no read
+    assert unused_parameters(source) == [
+        ("f", "b"), ("f", "args"), ("f", "kw"), ("make", "y"),
+        ("<lambda>", "v")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_parameter(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.fixture(scope="module")
@@ -212,10 +259,11 @@ def test_public_names_are_read_or_listed_in_layout():
     assert unlisted_unread(public, reads, layout) == []
 
 
-# ``dataclasses`` and what it drags in, ``typing``, and ``json`` and
-# ``pathlib``, which only serializing and the CLI need
+# ``dataclasses`` and what it drags in, ``typing``, ``json`` and
+# ``pathlib``, which only serializing and the CLI need, and ``random``,
+# which only a verify run draws from
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json",
-         "pathlib"}
+         "pathlib", "random"}
 
 
 @pytest.mark.parametrize("module, needed", [
