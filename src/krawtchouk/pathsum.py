@@ -40,8 +40,7 @@ from math import comb
 from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ring_of
 
-ENUM_BOUND_NUMERIC = 16   # 2^n words; n above this is refused
-ENUM_BOUND_SYMBOLIC = 12
+ENUM_BOUND_NUMERIC = 16   # 2^n words; n above this is refused, in every ring
 # C(n,p) words or subsets one path sum or twiston energy may enumerate;
 # C(20,10) = 184,756 fits
 WORD_BOUND = 2 ** 20
@@ -63,8 +62,8 @@ def require_enumerable(n: int, p: int) -> None:
 
 def path_weight(word: str, q: int, alpha, beta):
     """Weight of one path: beta per R in the first q steps, alpha per R after."""
-    if q > len(word):
-        raise ValueError(f"quantum depth {q} exceeds word length {len(word)}")
+    if not 0 <= q <= len(word):
+        raise ValueError(f"quantum depth {q} is outside 0..{len(word)}")
     weight = ring_of(alpha).one
     for i, letter in enumerate(word):
         if letter == "R":
@@ -82,6 +81,8 @@ def words_to(n: int, p: int):
     at a time.  The bound is checked when called, not when the first word
     is drawn.
     """
+    if not 0 <= p <= n:
+        raise ValueError(f"p = {p} is outside 0..{n}")
     require_enumerable(n, p)
     return (_word(n, positions)
             for positions in combinations(range(n), n - p))
@@ -119,13 +120,12 @@ def oracle_matrix(n: int, alpha=1, beta=-1) -> Matrix:
     Each word is tallied in every column at once, by its number p of right
     steps and, per column q, the number r of them in the window; the sweep
     costs O(2^n * n) integer increments, and the ring arithmetic runs once
-    per (p, q, r) class afterwards.
+    per (p, q, r) class afterwards, so one bound serves every ring.
     """
     ring = ring_of(alpha)
-    bound = ENUM_BOUND_SYMBOLIC if ring.name == "poly2" else ENUM_BOUND_NUMERIC
-    if n > bound:
-        raise ValueError(
-            f"order {n} exceeds the 2^n enumeration bound {bound}")
+    if not 0 <= n <= ENUM_BOUND_NUMERIC:
+        raise ValueError(f"order {n} is outside the 2^n enumeration bound "
+                         f"0..{ENUM_BOUND_NUMERIC}")
     # tally[p][s][r]: words with p right steps, r of them in word >> s, the
     # window of the first q = n - s steps (bit n-1-i of the word is step i,
     # L=0 < R=1: lexicographic order)

@@ -16,10 +16,15 @@ split) are faithful; the split picture sends F+G to the Hadamard matrix,
 which is how this algebra meets the Krawtchouk story: FH = HG, both sides
 equal 1 - i.
 
+A quaternion's kind is its type: :class:`hamilton` and :class:`split`
+subclass :class:`Quaternion` and differ only in class constants, the
+square ``_SQUARE`` of j, k (-1) or F, G (+1), the ``kind`` name and the
+units of the text form, as ``Gaussian`` and ``RootTwo`` differ in
+:mod:`krawtchouk.rings`.  Arithmetic between the kinds raises ValueError.
 :class:`Quaternion` stores its coefficients in the lowest-terms format of
 :class:`krawtchouk.rings._Lowest`, which also gives it coercion,
 subtraction and its text form (``-F+5/3G``); this module keeps only the
-kind and the unrolled sum, product, conjugation, norm and inverse.
+unrolled sum, product, conjugation, norm and inverse, once for both kinds.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .rings import GAUSS, QQ, Gaussian, _Lowest
 
 HAMILTON = "Hamilton"
 SPLIT = "Split"
-_UNITS = {HAMILTON: ("", "i", "j", "k"), SPLIT: ("", "i", "F", "G")}
 
 
 class Quaternion(_Lowest, components=("a", "b", "c", "d")):
@@ -41,39 +45,25 @@ class Quaternion(_Lowest, components=("a", "b", "c", "d")):
 
     ``_n = (a, b, c, d, den)`` in the lowest terms of
     :class:`krawtchouk.rings._Lowest`; ``a`` .. ``d`` read as Fractions.
+    The kinds are its subclasses :class:`hamilton` and :class:`split`;
+    it keeps the arithmetic of both.
     """
 
-    __slots__ = ("_kind",)
+    __slots__ = ()
 
-    def __init__(self, kind, a=0, b=0, c=0, d=0):
-        if kind not in (HAMILTON, SPLIT):
-            raise ValueError(f"unknown quaternion kind {kind!r}")
-        self._kind = kind
+    def __init__(self, a=0, b=0, c=0, d=0):
+        if type(self) is Quaternion:
+            raise TypeError("a quaternion is built as hamilton(...) or "
+                            "split(...)")
         self._store((a, b, c, d))
-
-    kind = property(lambda self: self._kind)
-
-    _units = property(lambda self: _UNITS[self._kind])
 
     # -- ring structure ------------------------------------------------
 
-    def _of(self, parts: tuple) -> "Quaternion":
-        """The quaternion of this kind with parts (a, b, c, d, den), den > 0.
-
-        An instance method, unlike the base's, since the kind comes from
-        ``self``; it builds the value directly rather than through
-        ``super()``, which would cost every sum and product another call.
-        """
-        q = object.__new__(Quaternion)
-        q._kind = self._kind
-        q._n = self._lowest(parts)
-        return q
-
     def _coerce(self, other):
-        if isinstance(other, Quaternion):
-            if other._kind != self._kind:
-                raise ValueError("mixed Hamilton/split arithmetic")
+        if type(other) is type(self):
             return other
+        if isinstance(other, Quaternion):
+            raise ValueError("mixed Hamilton/split arithmetic")
         return super()._coerce(other)
 
     def __add__(self, other):
@@ -100,7 +90,7 @@ class Quaternion(_Lowest, components=("a", "b", "c", "d")):
             return NotImplemented
         a1, b1, c1, d1, den1 = self._n
         a2, b2, c2, d2, den2 = other._n
-        s = self._square()
+        s = self._SQUARE
         return self._of((
             a1 * a2 - b1 * b2 + s * (c1 * c2 + d1 * d2),
             a1 * b2 + b1 * a2 - s * (c1 * d2 - d1 * c2),
@@ -114,20 +104,16 @@ class Quaternion(_Lowest, components=("a", "b", "c", "d")):
     def __eq__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return self._kind == other._kind and self._n == other._n
+        return type(self) is type(other) and self._n == other._n
 
     def __hash__(self):
-        return hash((self._kind, self._n))
+        return hash((self.kind, self._n))
 
     # -- involutions and norms -------------------------------------------
 
-    def _square(self) -> int:
-        """j^2 = k^2 = -1 (Hamilton) or F^2 = G^2 = +1 (split)."""
-        return 1 if self._kind == SPLIT else -1
-
     def _norm_numerator(self) -> int:
         a, b, c, d, _ = self._n
-        return a * a + b * b - self._square() * (c * c + d * d)
+        return a * a + b * b - self._SQUARE * (c * c + d * d)
 
     def conj(self) -> "Quaternion":
         a, b, c, d, den = self._n
@@ -152,16 +138,26 @@ class Quaternion(_Lowest, components=("a", "b", "c", "d")):
         return self._n[0] == 0
 
     def __repr__(self):
-        return (f"Quaternion(kind={self._kind!r}, a={self.a!r}, b={self.b!r}, "
+        return (f"Quaternion(kind={self.kind!r}, a={self.a!r}, b={self.b!r}, "
                 f"c={self.c!r}, d={self.d!r})")
 
 
-def split(a=0, b=0, c=0, d=0) -> Quaternion:
-    return Quaternion(SPLIT, a, b, c, d)
+class hamilton(Quaternion):
+    """Hamilton quaternion a + b*i + c*j + d*k, i^2 = j^2 = k^2 = -1."""
+
+    __slots__ = ()
+    _SQUARE = -1
+    kind = HAMILTON
+    _units = ("", "i", "j", "k")
 
 
-def hamilton(a=0, b=0, c=0, d=0) -> Quaternion:
-    return Quaternion(HAMILTON, a, b, c, d)
+class split(Quaternion):
+    """Split quaternion a + b*i + c*F + d*G, i^2 = -1 and F^2 = G^2 = +1."""
+
+    __slots__ = ()
+    _SQUARE = 1
+    kind = SPLIT
+    _units = ("", "i", "F", "G")
 
 
 # the named generators
@@ -207,8 +203,6 @@ def to_matrix2(q: Quaternion) -> Matrix:
 
 def adjoint_act(g: Quaternion, v: Quaternion) -> Quaternion:
     """g v g^{-1}: rotation (Hamilton) or Lorentz map (split) of the pure part."""
-    if g.kind != v.kind:
-        raise ValueError("mixed Hamilton/split arithmetic")
     if not v.is_pure():
         raise ValueError("adjoint action expects a pure quaternion")
     return g * v * g.inverse()
@@ -223,8 +217,6 @@ def reflect(q: Quaternion, v: Quaternion) -> Quaternion:
 
 def lie_bracket(u: Quaternion, v: Quaternion) -> Quaternion:
     """Half-commutator (uv - vu)/2; on pure units this is the vector product."""
-    if u.kind != v.kind:
-        raise ValueError("mixed Hamilton/split arithmetic")
     a, b, c, d, den = (u * v - v * u)._n
     return u._of((a, b, c, d, 2 * den))
 

@@ -17,7 +17,12 @@ subclass one base, :class:`_Lowest`: integer numerators over one positive
 denominator in lowest terms, so their arithmetic is integer arithmetic and
 each value has one stored form; their components still read as
 ``Fraction``.  The base owns that format: construction from parts,
-int/Fraction coercion, subtraction and the text form.
+int/Fraction coercion and the text form.  A multiplication table is a
+type: ``Gaussian`` and ``RootTwo``, like the Hamilton and split
+quaternions, are sibling classes that differ in the class constant
+``_SQUARE``.  Every custom scalar, ``Poly2`` included, takes its
+subtraction from one slot-less base, :class:`_Scalar`, over its own
+``_coerce``.
 
 One codec serves the custom types.  ``_signed_sum`` writes every one of
 them as a signed sum of coefficient-unit terms (``1/2-i``, ``-2/3√2``,
@@ -27,7 +32,8 @@ text of ``Gaussian`` and ``RootTwo``, and refuses anything after the unit.
 A :class:`Ring` descriptor bundles the zero/one constants, string
 formatting and parsing for each of them, keyed by a short name that is also
 used in the JSON serialization of matrices.  The six rings are module
-constants, so two rings are equal only when they are the same object.
+constants, so two rings are equal only when they are the same object, and
+:func:`ring_of` finds a scalar's ring from its exact type.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ def _lowest(parts: tuple) -> tuple:
     return tuple([x // g for x in parts])
 
 
-def _over_common_den(values, convert) -> tuple:
+def _over_common_den(values) -> tuple:
     """Rationals as integer numerators over their least common denominator.
 
     The result is already lowest: each prime power of the lcm is the whole
@@ -84,13 +90,36 @@ def _over_common_den(values, convert) -> tuple:
     """
     if all(type(v) is int for v in values):
         return (*values, 1)
-    fracs = [v if isinstance(v, (int, Fraction)) else convert(v)
+    fracs = [v if isinstance(v, (int, Fraction)) else _frac(v)
              for v in values]
     den = lcm(*[f.denominator for f in fracs])
     return (*[f.numerator * (den // f.denominator) for f in fracs], den)
 
 
-class _Lowest:
+class _Scalar:
+    """Subtraction for every custom scalar, over the subclass's ``_coerce``.
+
+    ``_coerce`` returns an operand as a value of the subclass, or
+    ``NotImplemented`` for one it cannot read, so a foreign operand falls
+    through to Python's TypeError.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+
+class _Lowest(_Scalar):
     """Integer numerators over one positive denominator, in lowest terms.
 
     ``_n = (*numerators, den)`` gives each exact value one stored form, so
@@ -98,9 +127,12 @@ class _Lowest:
     subclass names its components in its class statement
     (``components=(...)``), each read as a ``Fraction``, sets ``_units``,
     the unit ``str`` writes after each coefficient, and keeps its own
-    unrolled ``+``, negation, conjugation and product.  This base gives
-    construction from parts, int/Fraction coercion, subtraction and the
-    text form.
+    unrolled ``+``, negation, conjugation and product.  Siblings that
+    differ only in a multiplication table, such as ``Gaussian`` and
+    ``RootTwo``, differ in the class constant ``_SQUARE``; no subclass
+    adds an instance slot.  This base gives construction from parts,
+    int/Fraction coercion and the text form, and :class:`_Scalar` the
+    subtraction.
     """
 
     __slots__ = ("_n",)
@@ -114,11 +146,9 @@ class _Lowest:
         if components:
             cls._ZEROS = (0,) * (len(components) - 1)
 
-    def _store(self, values, convert=_frac) -> None:
-        """Keep component values: ints, Fractions or what ``convert`` reads."""
-        self._n = _over_common_den(values, convert)
-
-    _lowest = staticmethod(_lowest)
+    def _store(self, values) -> None:
+        """Keep component values: ints, Fractions or rational text."""
+        self._n = _over_common_den(values)
 
     @classmethod
     def _of(cls, parts: tuple):
@@ -133,18 +163,6 @@ class _Lowest:
         if isinstance(other, (int, Fraction)):
             return self._of((other.numerator, *self._ZEROS, other.denominator))
         return NotImplemented
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __str__(self):
         den = self._n[-1]
@@ -243,7 +261,7 @@ def sqrt2_power(m: int) -> RootTwo:
     return RootTwo(0, 2 ** (m // 2))
 
 
-class Poly2:
+class Poly2(_Scalar):
     """Integer polynomial in two commuting symbols ``a`` and ``b``.
 
     Stored as a mapping (i, j) -> coefficient of a^i b^j; zero coefficients
@@ -260,20 +278,15 @@ class Poly2:
                     clean[monom] = coeff
         self.terms = clean
 
-    @staticmethod
-    def const(c: int) -> "Poly2":
-        return Poly2({(0, 0): c})
-
-    @staticmethod
-    def gen_a() -> "Poly2":
-        return Poly2({(1, 0): 1})
-
-    @staticmethod
-    def gen_b() -> "Poly2":
-        return Poly2({(0, 1): 1})
+    def _coerce(self, other):
+        if isinstance(other, Poly2):
+            return other
+        if isinstance(other, int):
+            return Poly2({(0, 0): other})
+        return NotImplemented
 
     def __add__(self, other):
-        other = _as_poly2(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
@@ -287,20 +300,8 @@ class Poly2:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _as_poly2(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly2(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
-        other = _as_poly2(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         terms: dict = {}
@@ -316,7 +317,7 @@ class Poly2:
         return Poly2({m: -c for m, c in self.terms.items()})
 
     def __eq__(self, other):
-        other = _as_poly2(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms
@@ -358,16 +359,8 @@ class Poly2:
         return f"Poly2({self.terms!r})"
 
 
-ALPHA = Poly2.gen_a()
-BETA = Poly2.gen_b()
-
-
-def _as_poly2(x):
-    if isinstance(x, Poly2):
-        return x
-    if isinstance(x, int):
-        return Poly2.const(x)
-    return NotImplemented
+ALPHA = Poly2({(1, 0): 1})
+BETA = Poly2({(0, 1): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -486,26 +479,23 @@ QQ = Ring("rational", Fraction(0), Fraction(1), str,
           lambda s: parse_rational(s.strip()))
 GAUSS = Ring("gaussian", Gaussian(0), Gaussian(1), str, parse_gaussian)
 ROOT2 = Ring("root2", RootTwo(0), RootTwo(1), str, parse_root2)
-POLY2 = Ring("poly2", Poly2(), Poly2.const(1), str, parse_poly2)
+POLY2 = Ring("poly2", Poly2(), Poly2({(0, 0): 1}), str, parse_poly2)
 CC = Ring("complex", 0j, 1 + 0j, fmt_complex, parse_complex)
 
 RINGS = {r.name: r for r in (ZZ, QQ, GAUSS, ROOT2, POLY2, CC)}
 
 
+_RING_OF_TYPE = {int: ZZ, Fraction: QQ, Gaussian: GAUSS, RootTwo: ROOT2,
+                 Poly2: POLY2, complex: CC}
+
+
 def ring_of(value) -> Ring:
-    """Best-guess ring descriptor for a scalar value."""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a ring scalar")
-    if isinstance(value, int):
-        return ZZ
-    if isinstance(value, Fraction):
-        return QQ
-    if isinstance(value, Gaussian):
-        return GAUSS
-    if isinstance(value, RootTwo):
-        return ROOT2
-    if isinstance(value, Poly2):
-        return POLY2
-    if isinstance(value, complex):
-        return CC
-    raise TypeError(f"no ring registered for {type(value).__name__}")
+    """The ring descriptor of a scalar, read off its exact type.
+
+    A ``bool`` is refused, as is any type not in the table.
+    """
+    try:
+        return _RING_OF_TYPE[type(value)]
+    except KeyError:
+        raise TypeError(
+            f"no ring registered for {type(value).__name__}") from None

@@ -129,8 +129,8 @@ def _suite_quaternion(_n_max: int, rng):
     # The basis proves each identity for every rational pair, given that
     # the implementation is bilinear over Q; the seeded rational draws,
     # with their non-unit denominators, are what exercise that.
-    for kind_name, kind in (("hamilton", quaternion.HAMILTON),
-                            ("split", quaternion.SPLIT)):
+    for kind_name, kind in (("hamilton", quaternion.hamilton),
+                            ("split", quaternion.split)):
         basis = _polarization_basis(kind)
         for s, t in product(range(4), repeat=2):
             yield _instance((s, t), check_cells(_bilinear_checks(
@@ -146,15 +146,14 @@ def _suite_quaternion(_n_max: int, rng):
                 + _bilinear_checks(kind_name, "at random", p, q)))
 
 
-def _polarization_basis(kind: str) -> list:
+def _polarization_basis(kind) -> list:
     """The units e_0..e_3, then e_a + e_b for a < b in lexicographic order.
 
     The bilinear identities need only the four units.  N(pq) - N(p) N(q)
     is quadratic in each argument, and a quadratic form on Q^4 that
     vanishes at all ten of these vanishes everywhere.
     """
-    units = [quaternion.Quaternion(kind, *(int(a == b) for b in range(4)))
-             for a in range(4)]
+    units = [kind(*(int(a == b) for b in range(4))) for a in range(4)]
     return units + [units[a] + units[b] for a, b in combinations(range(4), 2)]
 
 
@@ -174,14 +173,13 @@ def _bilinear_checks(kind_name: str, where: str, p, q) -> list:
              lhs.cells(quaternion.to_matrix2(pq)))]
 
 
-def _random_quaternion(rng, kind: str):
+def _random_quaternion(rng, kind):
     """Four random coefficients num/den, num in -9..9 and den in 1..9.
 
     Each component draws its numerator, then its denominator.
     """
-    return quaternion.Quaternion(
-        kind, *[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                for _ in range(4)])
+    return kind(*[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(4)])
 
 
 def _suite_sympow(n_max: int, rng):
@@ -225,7 +223,8 @@ def _suite_reduction(n_max: int, _rng):
 
 
 def _suite_pyramid(n_max: int, _rng):
-    yield hadamard.pyramid_cross_check(max(2, min(n_max, REDUCTION_CAP)))
+    for n in range(1, min(n_max, REDUCTION_CAP) + 1):
+        yield hadamard.pyramid_cross_check(n)
     for depth in range(3):
         rows = 5
         planes = {direction: hadamard.pyramid_plane(direction, depth, rows)

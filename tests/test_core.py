@@ -295,7 +295,7 @@ def quaternion_failures():
 
 def test_basis_check_names_the_unit_pair_of_a_wrong_square(monkeypatch):
     # F^2 = -1 in the product while the 2x2 image of F still squares to I
-    monkeypatch.setattr(quaternion.Quaternion, "_square", lambda self: -1)
+    monkeypatch.setattr(quaternion.split, "_SQUARE", -1)
     failures = quaternion_failures()
     # units 0..3 are 1, i, F, G: the first failing pair is (F, F), and the
     # cell is [0, 0] of image(F) image(F) = I against image(F F) = -I
@@ -315,7 +315,7 @@ def test_basis_check_finds_a_cross_term_no_unit_pair_shows(monkeypatch):
     monkeypatch.setattr(quaternion.Quaternion, "_norm_numerator", crossed)
     # every unit pair still multiplies norms: b c = 0 on units and their
     # signed products, so a check on the units alone would pass
-    for kind in (quaternion.HAMILTON, quaternion.SPLIT):
+    for kind in (quaternion.hamilton, quaternion.split):
         units = verify._polarization_basis(kind)[:4]
         assert all((p * q).norm2() == p.norm2() * q.norm2()
                    for p in units for q in units)
@@ -395,6 +395,23 @@ def test_run_suites_refuses_an_unknown_name_next_to_all(no_suite_runs):
         verify.run_suites(["all", "bogus"])
 
 
+@pytest.mark.parametrize("n_max,orders", [
+    (0, []), (1, [1]), (5, [1, 2, 3, 4, 5]),
+    (16, list(range(1, verify.REDUCTION_CAP + 1)))])
+def test_pyramid_suite_checks_the_cross_identities_at_each_order(
+        monkeypatch, n_max, orders):
+    checked = []
+    real = hadamard.pyramid_cross_check
+
+    def recorded(n):
+        checked.append(n)
+        return real(n)
+
+    monkeypatch.setattr(hadamard, "pyramid_cross_check", recorded)
+    report, = verify.run_suites(["pyramid"], n_max=n_max)
+    assert report.ok and checked == orders
+
+
 def test_pyramid_suite_compares_the_bottom_row_with_the_reference(
         monkeypatch):
     # K(6,2,0) + 16 keeps row 2 of K^(6) of one parity, so the north-up
@@ -418,11 +435,10 @@ def test_random_quaternions_are_the_fraction_draws(seed):
     # the suite's instances: numerator then denominator per component,
     # each the quaternion of the four Fractions in lowest terms
     rng, twin = random.Random(seed), random.Random(seed)
-    for kind, make in ((quaternion.HAMILTON, quaternion.hamilton),
-                       (quaternion.SPLIT, quaternion.split)):
+    for kind in (quaternion.hamilton, quaternion.split):
         for _ in range(200):
             got = verify._random_quaternion(rng, kind)
-            want = make(*(Fraction(twin.randint(-9, 9), twin.randint(1, 9))
+            want = kind(*(Fraction(twin.randint(-9, 9), twin.randint(1, 9))
                           for _ in range(4)))
             assert got == want and got._n == want._n
     assert rng.random() == twin.random()

@@ -151,9 +151,29 @@ def test_pyramid_recurrence_construction(n):
     assert built.mat == core.k_genfunc(n).mat
 
 
-@pytest.mark.parametrize("n_max", [2, 6, 12])
-def test_pyramid_cross_identities(n_max):
-    assert hadamard.pyramid_cross_check(n_max)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pyramid_cross_identities(n):
+    assert hadamard.pyramid_cross_check(n)
+
+
+def test_pyramid_cross_check_checks_one_order(monkeypatch):
+    # a wrong K(4,1,1) breaks the identities at orders 3, 4 and 5 only
+    real = core.k_reference
+
+    def corrupted(n):
+        mat = real(n)
+        if n != 4:
+            return mat
+        rows = [list(row) for row in mat.data]
+        rows[1][1] += 2
+        return Matrix(ZZ, rows)
+
+    monkeypatch.setattr(hadamard, "k_reference", corrupted)
+    assert [n for n in range(1, 8) if not hadamard.pyramid_cross_check(n)] \
+        == [3, 4, 5]
+    assert hadamard.pyramid_cross_check(4).n == 4
+    with pytest.raises(ValueError, match="order >= 1"):
+        hadamard.pyramid_cross_check(0)
 
 
 def test_square_identity_reading():

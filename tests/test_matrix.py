@@ -8,8 +8,8 @@ import pytest
 
 from krawtchouk import matrix, sympow
 from krawtchouk.matrix import Matrix, check_cells, vector_cells
-from krawtchouk.rings import (CC, GAUSS, Gaussian, POLY2, Poly2, QQ, RINGS,
-                              ROOT2, RootTwo, ZZ)
+from krawtchouk.rings import (ALPHA, BETA, CC, GAUSS, Gaussian, POLY2, Poly2,
+                              QQ, RINGS, ROOT2, RootTwo, ZZ)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -124,7 +124,7 @@ def test_equal_matrices_hash_equal(ring):
 
 
 def test_check_cells_prints_with_the_ring():
-    a, b = Poly2.gen_a(), Poly2.gen_b()
+    a, b = ALPHA, BETA
     lhs, rhs = a * a + b * 3, (a + b) * a
     report = check_cells([("poly", [(None, lhs, rhs)])], n=2)
     assert not report.ok and report.location is None
@@ -180,7 +180,7 @@ def test_json_round_trip_all_rings():
 
 # one element of each ring that is neither zero nor one
 SAMPLES = {"integer": 2, "rational": Fraction(1, 2), "gaussian": Gaussian(1, 2),
-           "root2": RootTwo(1, 1), "poly2": Poly2.gen_a(), "complex": 1 + 2j}
+           "root2": RootTwo(1, 1), "poly2": ALPHA, "complex": 1 + 2j}
 
 
 @pytest.mark.parametrize("ring", list(RINGS.values()), ids=lambda r: r.name)

@@ -25,6 +25,18 @@ def test_path_weight_examples():
         pathsum.path_weight("LX", 2, 1, -1)
 
 
+@pytest.mark.parametrize("word,q", [("RR", -1), ("RR", 3), ("", 1)])
+def test_path_weight_refuses_a_depth_outside_the_word(word, q):
+    with pytest.raises(ValueError, match=f"quantum depth {q} is outside"):
+        pathsum.path_weight(word, q, 1, -1)
+
+
+@pytest.mark.parametrize("n,p", [(3, -1), (3, 4), (3, 5), (-1, 0)])
+def test_words_to_refuses_a_position_outside_0_to_n(n, p):
+    with pytest.raises(ValueError, match=f"p = {p} is outside 0..{n}"):
+        pathsum.words_to(n, p)
+
+
 def test_path_sum_values():
     assert pathsum.path_sum(4, 3, 2) == 0
     assert pathsum.path_sum(3, 1, 2) == -1
@@ -88,10 +100,12 @@ def test_oracle_matches_random_integer_pairs():
 def test_oracle_numeric_upper_bound_order():
     n = 16
     assert pathsum.oracle_matrix(n, 1, -1) == core.k_genfunc(n).mat
-    with pytest.raises(ValueError, match="enumeration bound"):
-        pathsum.oracle_matrix(17, 1, -1)
-    with pytest.raises(ValueError, match="enumeration bound"):
-        pathsum.oracle_matrix(13, ALPHA, BETA)
+    assert (pathsum.oracle_matrix(n, ALPHA, BETA)
+            == generalized.k_general_symbolic(n))
+    for alpha, beta in ((1, -1), (ALPHA, BETA)):
+        for order in (17, -1):
+            with pytest.raises(ValueError, match="enumeration bound"):
+                pathsum.oracle_matrix(order, alpha, beta)
     with pytest.raises(TypeError):  # the refusal cannot be lifted
         pathsum.oracle_matrix(17, 1, -1, bound=17)
 

@@ -38,6 +38,15 @@ def test_mixed_kind_arithmetic_rejected():
         qt.I_H * qt.F
     with pytest.raises(ValueError):
         qt.adjoint_act(qt.H, qt.J)
+    with pytest.raises(ValueError, match="mixed Hamilton/split"):
+        qt.lie_bracket(qt.I_H, qt.I_S)
+    assert qt.I_H != qt.I_S and qt.hamilton(1) != qt.split(1)
+
+
+def test_a_quaternion_has_a_kind():
+    for args in ((), (1, 2, 3, 4), (qt.HAMILTON, 1)):
+        with pytest.raises(TypeError, match="hamilton"):
+            qt.Quaternion(*args)
 
 
 def test_norms_and_inverse():

@@ -23,6 +23,7 @@ from krawtchouk.rings import (
     ROOT2,
     RootTwo,
     ZZ,
+    _Lowest,
     parse_complex,
     parse_gaussian,
     parse_poly2,
@@ -104,7 +105,7 @@ def test_poly2_generators():
              Gaussian(Fraction(1, 2), Fraction(-5, 3)), Gaussian(-4, 0)]),
     (ROOT2, [RootTwo(0), RootTwo(3, -2), RootTwo(0, 1),
              RootTwo(Fraction(-1, 2), Fraction(7, 3)), RootTwo(5, 0)]),
-    (POLY2, [Poly2(), Poly2.const(-3), ALPHA, BETA * 2,
+    (POLY2, [Poly2(), Poly2({(0, 0): -3}), ALPHA, BETA * 2,
              Poly2({(2, 1): 3, (0, 0): -1, (1, 1): 1})]),
 ])
 def test_format_parse_round_trip(ring, values):
@@ -258,7 +259,7 @@ def test_matrix_readers_refuse_zero_denominators(ring, cell):
     (RootTwo(Fraction(-7, 4), 2), "-7/4+2√2"),
     (RootTwo(Fraction(5, 2)), "5/2"),
     (Poly2(), "0"),
-    (Poly2.const(-3), "-3"),
+    (Poly2({(0, 0): -3}), "-3"),
     (ALPHA, "a"),
     (-BETA, "-b"),
     (Poly2({(2, 1): 1, (1, 1): -2, (0, 0): 1}), "a^2b-2ab+1"),
@@ -334,7 +335,7 @@ def test_rational_values_hash_like_their_rational(cls):
     assert cls(1, 1) != 1
 
 
-@pytest.mark.parametrize("value", [Gaussian(1), RootTwo(1), Poly2.const(1)])
+@pytest.mark.parametrize("value", [Gaussian(1), RootTwo(1), POLY2.one])
 def test_foreign_operands_raise_type_error(value):
     for foreign in ("x", 1.5, None):
         with pytest.raises(TypeError):
@@ -358,3 +359,31 @@ def test_values_are_read_only(value, attrs, text):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert repr(value) == text
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_no_lowest_subclass_adds_an_instance_slot():
+    # a kind or a multiplication table is a class constant, never per value
+    found = set(subclasses(_Lowest))
+    assert {Gaussian, RootTwo, qt.Quaternion, qt.hamilton, qt.split} <= found
+    for cls in found:
+        assert cls.__dict__.get("__slots__") == (), cls
+
+
+def test_the_quaternion_product_is_defined_once():
+    # the benchmark's tracer wraps Quaternion.__mul__ and must see every kind
+    found = set(subclasses(qt.Quaternion))
+    assert {qt.hamilton, qt.split} <= found
+    for cls in found:
+        assert "__mul__" not in vars(cls) and "__rmul__" not in vars(cls), cls
+
+
+@pytest.mark.parametrize("value", [True, 1.5, None, qt.H])
+def test_ring_of_refuses_a_type_it_does_not_register(value):
+    with pytest.raises(TypeError, match="no ring registered"):
+        ring_of(value)
