@@ -55,7 +55,6 @@ from .hadamard import (
 )
 from .matrix import CheckReport, Matrix, SuiteReport
 from .pathsum import (
-    k_pathsum,
     oracle_matrix,
     path_sum,
     path_weight,

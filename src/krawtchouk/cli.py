@@ -115,7 +115,10 @@ def cmd_transform(args) -> int:
     if args.covector is not None:
         out = core.covector_transform(args.n, _parse_vector(args.covector))
     elif args.vector is not None:
-        out = core.k_genfunc(args.n).mat.mul_vector(_parse_vector(args.vector))
+        vec = _parse_vector(args.vector)
+        if len(vec) != args.n + 1:
+            raise ValueError(f"vector length {len(vec)} != {args.n + 1}")
+        out = core.k_genfunc(args.n).mat.mul_vector(vec)
     else:
         raise ValueError("need --covector or --vector")
     print(",".join(str(x) for x in out))

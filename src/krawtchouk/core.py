@@ -44,7 +44,7 @@ from .rings import QQ, ZZ
 # Above this order the CLI warns about output size; the library still works.
 DEFAULT_ORDER_BOUND = 64
 
-METHODS = ("GenFunc", "BinomialSum", "PyramidRecurrence", "PathSumOracle")
+METHODS = ("GenFunc", "BinomialSum", "PyramidRecurrence")
 
 
 class KrawtchoukMatrix(namedtuple("KrawtchoukMatrix", "order mat method")):

@@ -162,13 +162,6 @@ def _weigh(by_r, weights, zero):
                 if count), zero)
 
 
-def k_pathsum(n: int):
-    """The classical matrix by exhaustive enumeration, tagged PathSumOracle."""
-    from .core import KrawtchoukMatrix
-
-    return KrawtchoukMatrix(n, oracle_matrix(n, 1, -1), "PathSumOracle")
-
-
 def twiston_energy(n: int, q: int, p: int) -> int:
     """p-wise interaction energy of n twistons, q of them Moebius-like.
 

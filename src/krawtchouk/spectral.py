@@ -14,6 +14,9 @@ the quadratic ring Q[sqrt(2)]:
 
 Note on indexing: making K B = B D hold forces D's skew entry in column q to
 be 2^q (i.e. D_{n-q,q} = 2^q); the n = 3 instance is skewdiag(8, 4, 2, 1).
+
+The builders return what they compute and check nothing themselves;
+:func:`spectral_suite_check` reports every identity they stand for.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .core import KrawtchoukMatrix, k_reference
+from .core import k_reference
 from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ROOT2, RootTwo, ZZ, sqrt2_power
 
@@ -44,22 +47,10 @@ def skew_power_matrix(n: int) -> Matrix:
     return Matrix.skewdiag([2 ** (n - i) for i in range(n + 1)], ZZ)
 
 
-def _require(name: str, n: int, lhs, rhs, cells=Matrix.cells) -> None:
-    """Raise AssertionError carrying the check_cells report of lhs = rhs.
-
-    The plain ``!=`` decides, so a passing self-check scans no cell.
-    """
-    if lhs != rhs:
-        raise AssertionError(check_cells([(name, cells(lhs, rhs))], n=n))
-
-
 def b_inverse(n: int) -> Matrix:
-    """B^{-1} = S B S with S = diag(1,-1,1,...); verified against B."""
-    b = binomial_matrix(n)
+    """B^{-1} = S B S with S = diag(1,-1,1,...)."""
     s = Matrix.diag([(-1) ** i for i in range(n + 1)], ZZ)
-    inv = s @ b @ s
-    _require("B (S B S) = I", n, b @ inv, Matrix.identity(n + 1, ZZ))
-    return inv
+    return s @ binomial_matrix(n) @ s
 
 
 def binomial_transform_check(n: int) -> CheckReport:
@@ -75,18 +66,9 @@ def _transform_check(n: int, k: Matrix, b: Matrix):
     return "K B = B D", (k @ b).cells(b @ skew_power_matrix(n))
 
 
-def _bdb_sides(n: int):
-    """B D B^{-1} and K, the two sides of K's skew-diagonalization."""
-    b = binomial_matrix(n)
-    return b @ skew_power_matrix(n) @ b_inverse(n), k_reference(n)
-
-
-def k_from_BDBinv(n: int):
-    """Build K as B D B^{-1} and cross-check against the generating function."""
-    product, reference = _bdb_sides(n)
-    _require("B D B^-1 = K", n, product, reference)
-    # method tag GenFunc: the product is its cross-check
-    return KrawtchoukMatrix(n, reference, "GenFunc")
+def k_from_BDBinv(n: int) -> Matrix:
+    """K built as the product B D B^{-1}."""
+    return binomial_matrix(n) @ skew_power_matrix(n) @ b_inverse(n)
 
 
 class EigenFactor(namedtuple("EigenFactor", "order x e")):
@@ -104,14 +86,6 @@ def eigen_factors(n: int) -> EigenFactor:
     written once, matching the fact that the odd combination of the two
     central binomial vectors vanishes.
     """
-    x, e, lhs, rhs = _eigen_sides(n)
-    _require("K (B X) = (B X) E", n, lhs, rhs)
-    return EigenFactor(n, x, e)
-
-
-def _eigen_sides(n: int):
-    """X and E as :func:`eigen_factors` describes them, then K (B X) and
-    (B X) E, the two sides of the spectral identity, unchecked."""
     if n < 0:
         raise ValueError("order must be non-negative")
     zero = RootTwo(0)
@@ -123,17 +97,16 @@ def _eigen_sides(n: int):
             x[n - j][j] = sqrt2_power(j)
     lam = sqrt2_power(n)
     e = Matrix.diag([lam if 2 * j <= n else -lam for j in range(n + 1)], ROOT2)
-    x = Matrix(ROOT2, x)
-    bx = binomial_matrix(n).map(RootTwo, ROOT2) @ x
-    return x, e, k_reference(n).map(RootTwo, ROOT2) @ bx, bx @ e
+    return EigenFactor(n, Matrix(ROOT2, x), e)
 
 
 def eigenvector(n: int, k: int, sign: str) -> list:
     """Eigenvector 2^((n-k)/2) b^(k) +- 2^(k/2) b^(n-k) over Q[sqrt(2)].
 
-    The +/- sign selects the eigenvalue +-2^(n/2).  For 2k = n the minus
-    combination cancels identically and is rejected; the plus combination
-    collapses to the single central column 2^(k/2) b^(k).
+    The +/- sign selects the eigenvalue +-2^(n/2), and the vector is column
+    k (plus) or n-k (minus) of B X.  For 2k = n the minus combination
+    cancels identically and is rejected; the plus combination collapses to
+    the single central column 2^(k/2) b^(k).
     """
     if not 0 <= k <= n // 2:
         raise ValueError(f"k={k} must lie in 0..floor(n/2) for order {n}")
@@ -142,36 +115,38 @@ def eigenvector(n: int, k: int, sign: str) -> list:
     if 2 * k == n and sign == "-":
         raise ValueError("zero vector: the odd combination vanishes at k = n/2")
     if 2 * k == n:
-        vec = [sqrt2_power(k) * x for x in binomial_vector(n, k)]
-    else:
-        lo = binomial_vector(n, k)
-        hi = binomial_vector(n, n - k)
-        clo, chi = sqrt2_power(n - k), sqrt2_power(k)
-        if sign == "-":
-            chi = -chi
-        vec = [clo * a + chi * b for a, b in zip(lo, hi)]
-
-    kmat = k_reference(n).map(RootTwo, ROOT2)
-    lam = sqrt2_power(n) if sign == "+" else -sqrt2_power(n)
-    _require(f"K v = {sign}2^(n/2) v", n, kmat.mul_vector(vec),
-             [lam * x for x in vec], vector_cells)
-    return vec
+        return [sqrt2_power(k) * x for x in binomial_vector(n, k)]
+    lo = binomial_vector(n, k)
+    hi = binomial_vector(n, n - k)
+    clo, chi = sqrt2_power(n - k), sqrt2_power(k)
+    if sign == "-":
+        chi = -chi
+    return [clo * a + chi * b for a, b in zip(lo, hi)]
 
 
 def spectral_suite_check(n: int) -> CheckReport:
-    """Everything above at once, plus E^2 = 2^n I.
+    """Every identity the builders above stand for, through the builders.
 
-    The ``verify`` spectral suite runs it once per order.
+    K B = B D, B (S B S) = I, B D B^{-1} = K, K (B X) = (B X) E and
+    E^2 = 2^n I; then each eigenvector equals its column of B X, which the
+    identity before proves an eigenvector.  The ``verify`` spectral suite
+    runs it once per order.
     """
-    k, b = k_reference(n), binomial_matrix(n)
-    bdb, reference = _bdb_sides(n)
-    report = check_cells([_transform_check(n, k, b),
-                          ("B D B^-1 = K", bdb.cells(reference))], n=n)
-    if not report.ok:
-        return report
-    _, e, lhs, rhs = _eigen_sides(n)
+    ref, b = k_reference(n), binomial_matrix(n)
+    factors = eigen_factors(n)
+    bx = b.map(RootTwo, ROOT2) @ factors.x
     target = Matrix.identity(n + 1, ROOT2).scale(RootTwo(2 ** n))
+    # column j of B X is v(+, j) for 2j <= n and v(-, n-j) beyond
+    columns = [(j, j, "+") if 2 * j <= n else (j, n - j, "-")
+               for j in range(n + 1)]
     return check_cells([
-        ("K (B X) = (B X) E", lhs.cells(rhs)),
-        ("E^2 = 2^n I", (e @ e).cells(target)),
-    ], n=n)
+        _transform_check(n, ref, b),
+        ("B (S B S) = I",
+         (b @ b_inverse(n)).cells(Matrix.identity(n + 1, ZZ))),
+        ("B D B^-1 = K", k_from_BDBinv(n).cells(ref)),
+        ("K (B X) = (B X) E",
+         (ref.map(RootTwo, ROOT2) @ bx).cells(bx @ factors.e)),
+        ("E^2 = 2^n I", (factors.e @ factors.e).cells(target)),
+    ] + [(f"eigenvector(n, {k}, {sign}) = column {j} of B X",
+          vector_cells(eigenvector(n, k, sign), bx.col(j)))
+         for j, k, sign in columns], n=n)

@@ -41,7 +41,7 @@ MAT_L = Matrix.from_rows([[0, 1], [0, 0]])    # lowering: x dy
 MAT_R = Matrix.from_rows([[0, 0], [1, 0]])    # raising:  y dx
 
 
-def _require_2x2(a: Matrix):
+def _need_2x2(a: Matrix):
     if a.shape != (2, 2):
         raise ValueError(f"need a 2x2 matrix, got {a.shape}")
 
@@ -61,7 +61,7 @@ def sym_group_power(a: Matrix, n: int) -> Matrix:
     and column q takes q more factors of the second form from the
     (n-q)-th of them.
     """
-    _require_2x2(a)
+    _need_2x2(a)
     if n < 0:
         raise ValueError("power must be non-negative")
     ring = a.ring
@@ -119,7 +119,7 @@ def sym_algebra_power(a: Matrix, n: int) -> Matrix:
     lowering matrix [[0,1],[0,0]] x dy, the raising matrix [[0,0],[1,0]]
     y dx, and the image of i, [[0,1],[-1,0]], x dy - y dx.
     """
-    _require_2x2(a)
+    _need_2x2(a)
     if n < 0:
         raise ValueError("power must be non-negative")
     ring = a.ring
@@ -145,7 +145,7 @@ def sym_algebra_power_by_derivative(a: Matrix, n: int) -> Matrix:
     t-coefficient: a derivative, no limits involved.  n + 2 lanes leave
     a lane 1 at n = 0.
     """
-    _require_2x2(a)
+    _need_2x2(a)
     if a.ring != ZZ:
         raise ValueError(f"the derivative route needs an integer matrix, "
                          f"got {a.ring.name}")
@@ -168,7 +168,7 @@ def require_kron_order(n: int) -> None:
 
 def kron_power(a: Matrix, n: int) -> Matrix:
     """Plain n-fold Kronecker power, 2^n x 2^n."""
-    _require_2x2(a)
+    _need_2x2(a)
     require_kron_order(n)
     out = Matrix.identity(1, a.ring)
     for _ in range(n):
@@ -183,7 +183,7 @@ def box_power(a: Matrix, n: int) -> Matrix:
     sum of A[r_k, r_k] over all bits on its diagonal and A[r_k, 1-r_k] at
     column r ^ 2^k: at most n+1 nonzeros, written in place.
     """
-    _require_2x2(a)
+    _need_2x2(a)
     require_kron_order(n)
     zero = a.ring.zero
     size = 1 << n

@@ -116,10 +116,8 @@ def test_criterion_05_spectral_suite():
     for n in range(11):
         crit.check(bool(spectral.binomial_transform_check(n)),
                    f"K B = B D n={n}")
-        try:
-            spectral.k_from_BDBinv(n)
-        except AssertionError as exc:
-            crit.check(False, str(exc))
+        crit.check(spectral.k_from_BDBinv(n) == core.k_genfunc(n).mat,
+                   f"B D B^-1 = K n={n}")
         factors = spectral.eigen_factors(n)
         b = spectral.binomial_matrix(n).map(RootTwo, ROOT2)
         bx = b @ factors.x

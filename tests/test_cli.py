@@ -9,7 +9,7 @@ from pathlib import Path, PurePosixPath
 
 import pytest
 
-from krawtchouk import cli, generalized, hadamard, sympow
+from krawtchouk import cli, core, generalized, hadamard, sympow
 from krawtchouk.matrix import Matrix
 
 REPORT_SCHEMA = {
@@ -347,6 +347,19 @@ def test_transform_rejects_bad_length(capsys):
                            "--covector", "1,2")
     assert code == 2
     assert "length" in err
+
+
+@pytest.mark.parametrize("flag", ["--vector", "--covector"])
+def test_transform_checks_the_length_before_building_k(capsys, monkeypatch,
+                                                       flag):
+    # K^(1200) takes over a second to build; the refusal must come first
+    def never(n):
+        raise AssertionError("k_genfunc called for a vector of wrong length")
+
+    monkeypatch.setattr(core, "k_genfunc", never)
+    code, out, err = run_cli(capsys, "transform", "--n", "1200", flag, "1")
+    assert (code, out) == (2, "")
+    assert "length 1 != 1201" in err
 
 
 def test_import_does_not_load_numpy():

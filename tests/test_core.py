@@ -34,11 +34,11 @@ def test_genfunc_columns_are_the_single_column_expansions(n):
 
 @pytest.mark.parametrize("n", [0, 1, 6])
 def test_tagged_matrices_hash_as_they_compare(n):
-    # the method tag is ignored by == and so must be by hash
-    tagged = [core.k_genfunc(n), core.k_binsum(n), hadamard.k_pyramid(n),
-              pathsum.k_pathsum(n)]
+    # the method tag is ignored by == and so must be by hash, so an
+    # untagged Matrix such as the path-sum oracle's is the same set member
+    tagged = [core.k_genfunc(n), core.k_binsum(n), hadamard.k_pyramid(n)]
     assert [km.method for km in tagged] == list(core.METHODS)
-    assert len(set(tagged)) == 1
+    assert len(set(tagged + [pathsum.oracle_matrix(n, 1, -1)])) == 1
     for km in tagged:
         assert km == km.mat and not km != km.mat and not km.mat != km
         assert hash(km) == hash(km.mat)
@@ -428,6 +428,13 @@ def test_pyramid_suite_compares_the_bottom_row_with_the_reference(
         (n, "north-up plane, depth 2", [0]) for n in range(2, 7)]
     assert report.failures[-1]["lhs"] == "31"       # C(6, 2) + 16
     assert report.failures[-1]["rhs"] == "15"
+
+
+@pytest.mark.parametrize("n_max,orders", [(0, set()), (1, {1}),
+                                            (2, {1, 2})])
+def test_macwilliams_suite_checks_no_order_above_n_max(n_max, orders):
+    reports = list(verify.SUITES["macwilliams"](n_max, random.Random(0)))
+    assert all(reports) and {r.n for r in reports} == orders
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -5,8 +5,9 @@ in README's Layout section.  A public method counts as read only through
 an attribute, so a local variable of the same name hides nothing, and the
 re-exports of ``__init__.py`` read nothing.  Every function reads each of
 its parameters other than ``self``, ``cls`` and names that start with
-``_``.  Importing the package loads none of the heavy standard modules it
-does not need."""
+``_``.  Only the three exactness guards raise ``AssertionError``: a
+construction returns its value and a check returns its report.  Importing
+the package loads none of the heavy standard modules it does not need."""
 
 import ast
 import re
@@ -91,6 +92,32 @@ def unused_parameters(source: str) -> list:
                    if name not in read and name not in ("self", "cls")
                    and not name.startswith("_")]
     return unused
+
+
+def assertion_raises(source: str, module: str) -> list:
+    """The qualified function, as ``module.Class.method``, of each
+    ``raise AssertionError`` and each ``assert`` statement, in source
+    order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            exc = getattr(child, "exc", None)
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(child, ast.Assert) or (
+                    isinstance(child, ast.Raise)
+                    and isinstance(exc, ast.Name)
+                    and exc.id == "AssertionError"):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return found
 
 
 def layout_section(readme: str) -> str:
@@ -222,6 +249,33 @@ def test_unused_parameters_are_found():
     assert unused_parameters(source) == [
         ("f", "b"), ("f", "args"), ("f", "kw"), ("make", "y"),
         ("<lambda>", "v")]
+
+
+def test_assertion_raises_are_found():
+    source = ("def f(x):\n"
+              "    if x:\n"
+              "        raise AssertionError('remainder')\n"
+              "    raise ValueError(x)\n"
+              "class Lanes:\n"
+              "    def unpack(self):\n"
+              "        def inner():\n"
+              "            raise AssertionError\n"
+              "        assert self\n"
+              "        return inner\n")
+    assert assertion_raises(source, "lanes") == [
+        "lanes.f", "lanes.Lanes.unpack.inner", "lanes.Lanes.unpack"]
+
+
+# the guards of exactness: a division by 1+t, a halving and a lane decoding
+# that must leave no remainder, where no identity check could report one
+EXACTNESS_GUARDS = ["core._next_genfunc_column", "hadamard.pyramid_plane",
+                    "lanes.Lanes.unpack"]
+
+
+def test_only_the_exactness_guards_raise_assertion_error():
+    assert [scope for path in MODULES
+            for scope in assertion_raises(path.read_text(encoding="utf-8"),
+                                          path.stem)] == EXACTNESS_GUARDS
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

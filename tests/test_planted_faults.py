@@ -1,0 +1,60 @@
+"""Planted faults: a one-cell fault in a construction at one order reaches
+the ``verify`` report of every suite that reads it, as a named failure at
+that order, and never escapes as an exception.
+
+Each row plants +2 in one cell of a builder's output at one order, runs
+every suite, and pins the first failure of each suite that must report it.
+A row that fails names a suite blind to that builder.
+"""
+
+import json
+
+import pytest
+
+from krawtchouk import cli, spectral, verify
+from krawtchouk.matrix import Matrix
+
+N_MAX = 8
+
+# (module, builder, order, cell, {suite: [first failure at that order]})
+FAULTS = [
+    # (K B')[0, 2] = K b^(2) at row 0, 2^2 b^(3)[0] = 4, gains 2 K[0, 0];
+    # B'[0, 2] = C(2, 0) + 2 against the symmetric power of U = [[1, 1],
+    # [0, 1]]
+    (spectral, "binomial_matrix", 5, (0, 2),
+     {"spectral": [{"n": 5, "check": "K B = B D", "location": [0, 2],
+                    "lhs": "6", "rhs": "4"}],
+      "sympow": [{"n": 5, "check": "U^on = B", "location": [0, 2],
+                  "lhs": "1", "rhs": "3"}]}),
+]
+
+
+def plant(monkeypatch, module, name, order, cell):
+    real = getattr(module, name)
+
+    def planted(n, *args):
+        out = real(n, *args)
+        if n != order:
+            return out
+        rows = [list(row) for row in out.data]
+        rows[cell[0]][cell[1]] += 2
+        return Matrix(out.ring, rows)
+
+    monkeypatch.setattr(module, name, planted)
+
+
+@pytest.mark.parametrize("module, name, order, cell, reported", FAULTS,
+                         ids=[f"{row[1]}@{row[2]}" for row in FAULTS])
+def test_planted_fault_reaches_the_report(monkeypatch, capsys, module, name,
+                                          order, cell, reported):
+    plant(monkeypatch, module, name, order, cell)
+    reports = verify.run_suites(["all"], n_max=N_MAX)
+    assert {r.suite: r.failures for r in reports if not r.ok} == reported
+
+    # the CLI exits 1 on a failure and its stdout is still the JSON report
+    for suite, failures in reported.items():
+        code = cli.main(["verify", "--suites", suite, "--n-max", str(N_MAX)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == [
+            {"suite": suite, "n_max": N_MAX, "pass": False,
+             "failures": failures}]

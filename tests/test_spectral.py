@@ -1,10 +1,8 @@
 """Binomial transform, skew-diagonalization, and exact eigenvectors."""
 
-import re
-
 import pytest
 
-from krawtchouk import core, spectral
+from krawtchouk import core, spectral, verify
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import ROOT2, RootTwo, ZZ, sqrt2_power
 
@@ -49,32 +47,51 @@ def test_transform_of_binomial_vectors():
 
 @pytest.mark.parametrize("n", range(11))
 def test_k_from_bdb_inverse(n):
-    assert spectral.k_from_BDBinv(n).mat == core.k_genfunc(n).mat
+    assert spectral.k_from_BDBinv(n) == core.k_genfunc(n).mat
+
+
+def bumped(mat: Matrix, i: int, j: int) -> Matrix:
+    rows = [list(row) for row in mat.data]
+    rows[i][j] += 1
+    return Matrix(mat.ring, rows)
+
+
+# the builders check nothing themselves: a fault planted in one at order 3
+# reaches the spectral suite's report, under the first check that reads it
+PLANTED = [
+    # (K' B)[2, 1] gains B[1, 1] = 1 over K b^(1) = 2 b^(2), whose entry 2
+    # is 2 = (B D)[2, 1]
+    ("k_reference", lambda k: bumped(k, 2, 1),
+     ("K B = B D", [2, 1], "3", "2")),
+    # (B B')[0, 3] gains B[0, 0] = 1
+    ("b_inverse", lambda inv: bumped(inv, 0, 3),
+     ("B (S B S) = I", [0, 3], "1", "0")),
+    # K[2, 1] = -1
+    ("k_from_BDBinv", lambda k: bumped(k, 2, 1),
+     ("B D B^-1 = K", [2, 1], "0", "-1")),
+    # column 0 of B X is v = [1+2√2, 3, 3, 1] with eigenvalue 2√2, so row 0
+    # of K (B X) reads 2√2 (1+2√2) and of (B X) (-E) its negative; -E still
+    # squares to 2^3 I
+    ("eigen_factors", lambda f: f._replace(e=f.e.scale(RootTwo(-1))),
+     ("K (B X) = (B X) E", [0, 0], "8+2√2", "-8-2√2")),
+    ("eigenvector", lambda v: [-x for x in v],
+     ("eigenvector(n, 0, +) = column 0 of B X", [0], "-1-2√2", "1+2√2")),
+]
 
 
 def test_self_checks_name_their_check_order_and_cell(monkeypatch):
-    # K^(3)[2, 1] = -1, off by one in the reference the self-checks read
-    real = spectral.k_reference
+    for name, fault, (check, location, lhs, rhs) in PLANTED:
+        real = getattr(spectral, name)
 
-    def corrupted(n):
-        rows = [list(row) for row in real(n).data]
-        rows[2][1] += 1
-        return Matrix(ZZ, rows)
+        def planted(n, *args, real=real, fault=fault):
+            return fault(real(n, *args)) if n == 3 else real(n, *args)
 
-    monkeypatch.setattr(spectral, "k_reference", corrupted)
-    with pytest.raises(AssertionError, match=re.escape(
-            "n=3, location=(2, 1), lhs='-1', rhs='0', note='B D B^-1 = K'")):
-        spectral.k_from_BDBinv(3)
-    # column 0 of B X is v = 2^(3/2) b^(0) + b^(3) = [1+2√2, 3, 3, 1], so
-    # row 2 of K' v gains v[1] = 3 over 2^(3/2) v[2] = 6√2
-    with pytest.raises(AssertionError, match=re.escape(
-            "n=3, location=(2, 0), lhs='3+6√2', rhs='6√2', "
-            "note='K (B X) = (B X) E'")):
-        spectral.eigen_factors(3)
-    with pytest.raises(AssertionError, match=re.escape(
-            "n=3, location=(2,), lhs='3+6√2', rhs='6√2', "
-            "note='K v = +2^(n/2) v'")):
-        spectral.eigenvector(3, 0, "+")
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, name, planted)
+            report, = verify.run_suites(["spectral"], n_max=4)
+        assert report.failures == [{"n": 3, "check": check,
+                                    "location": location,
+                                    "lhs": lhs, "rhs": rhs}], name
 
 
 def test_eigen_factor_matrices_match_worked_example():
