@@ -12,11 +12,17 @@ orthogonal complement:
 The scaling constant 2^dim(W) = card(W) is forced: already for
 W = span{e1} in Z_2^2 one has K char(W) = 2 char(W-perp) while
 dim(W-perp) = 1, so a dimension factor cannot be right in general.
+
+A character counts every vector of W, in blocks: the 2^BLOCK combinations
+of the first BLOCK basis rows are built once, and the Gray-code walk of the
+remaining rows XORs each of its vectors over that block.  One MacWilliams
+check computes W-perp, both characters and K char(W) once, and checks the
+identities that share them.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .core import k_reference
 from .matrix import CheckReport, check_cells, vector_cells
@@ -24,6 +30,7 @@ from .spectral import binomial_vector
 
 ENUM_BOUND = 24   # 2^dim enumeration
 CHECK_BOUND = 16  # ambient dimension for the MacWilliams check
+BLOCK = 10        # basis rows whose 2^BLOCK combinations a character reuses
 
 
 def vector_from_bits(bits: str) -> int:
@@ -124,29 +131,59 @@ def complement(space: BinarySubspace) -> BinarySubspace:
 
 
 def weight_character(space: BinarySubspace) -> list:
-    """counts[i] = number of vectors of the subspace of Hamming weight i."""
-    counts = [0] * (space.n + 1)
-    for vec in space.vectors():
-        counts[vec.bit_count()] += 1
-    return counts
+    """counts[i] = number of vectors of the subspace of Hamming weight i.
+
+    The combinations of the first BLOCK basis rows are built once, by
+    doubling; each vector of the span of the other rows, in Gray-code order,
+    is XORed over that block, whose weights are tallied in one pass.  Every
+    vector is counted, and memory stays O(2^BLOCK).
+    """
+    if space.dim > ENUM_BOUND:
+        raise ValueError(f"enumeration bound is dim <= {ENUM_BOUND}")
+    low = [0]
+    for row in space.basis[:BLOCK]:
+        low += [row ^ v for v in low]
+    counts = Counter()
+    for high in BinarySubspace(space.n, space.basis[BLOCK:]).vectors():
+        block = [high ^ v for v in low] if high else low
+        counts.update(map(int.bit_count, block))
+    return [counts[w] for w in range(space.n + 1)]
 
 
 MACWILLIAMS = "2^dim(W) char(W-perp) = K char(W)"
 
 
 def macwilliams_check(space: BinarySubspace) -> CheckReport:
-    """2^dim(W) char(W-perp) = K char(W), entrywise exact."""
-    return check_cells([(MACWILLIAMS, _macwilliams_cells(space))], n=space.n)
+    """2^dim(W) char(W-perp) = K char(W), entrywise exact.
 
-
-def _macwilliams_cells(space: BinarySubspace):
+    The same W-perp, char(W) and K char(W) then check, in this order,
+    dim W + dim W-perp = n, that W-perp-perp = W, and K (K char) = 2^n char,
+    the involution on the character.
+    """
     n = space.n
+    _refuse_above_check_bound(n)
+    perp = complement(space)
+    k = k_reference(n)
+    char = weight_character(space)
+    image = k.mul_vector(char)
+    return check_cells([
+        (MACWILLIAMS, _macwilliams_cells(space, perp, image)),
+        ("dim W + dim W-perp = n", [(None, space.dim + perp.dim, n)]),
+        ("double complement", [(None, complement(perp), space)]),
+        ("K (K char) = 2^n char",
+         vector_cells(k.mul_vector(image), [2 ** n * c for c in char])),
+    ], n=n)
+
+
+def _refuse_above_check_bound(n: int):
     if n > CHECK_BOUND:
         raise ValueError(f"MacWilliams check bound is n <= {CHECK_BOUND}")
-    perp = complement(space)
-    lhs = [2 ** space.dim * c for c in weight_character(perp)]
-    rhs = k_reference(n).mul_vector(weight_character(space))
-    return vector_cells(lhs, rhs)
+
+
+def _macwilliams_cells(space: BinarySubspace, perp: BinarySubspace, image):
+    """2^dim(W) char(W-perp) against image = K char(W)."""
+    return vector_cells([2 ** space.dim * c for c in weight_character(perp)],
+                        image)
 
 
 def coordinate_subspace_note(space: BinarySubspace) -> CheckReport:
@@ -160,13 +197,14 @@ def coordinate_subspace_note(space: BinarySubspace) -> CheckReport:
         raise ValueError("subspace is not spanned by standard basis vectors")
     k = space.dim
     n = space.n
+    _refuse_above_check_bound(n)
     char = weight_character(space)
+    image = k_reference(n).mul_vector(char)
     return check_cells([
         ("char(W) = b^(dim W)", vector_cells(char, binomial_vector(n, k))),
         ("K b^(k) = 2^k b^(n-k)",
-         vector_cells(k_reference(n).mul_vector(char),
-                      [2 ** k * x for x in binomial_vector(n, n - k)])),
-        (MACWILLIAMS, _macwilliams_cells(space)),
+         vector_cells(image, [2 ** k * x for x in binomial_vector(n, n - k)])),
+        (MACWILLIAMS, _macwilliams_cells(space, complement(space), image)),
     ], n=n)
 
 

@@ -256,18 +256,7 @@ def _suite_macwilliams(n_max: int, rng):
         for t in range(RANDOM_SUBSPACES):
             n = rng.randint(2, min(n_max, REDUCTION_CAP))
             space = gf2.random_subspace(rng, n)
-            perp = gf2.complement(space)
-            # K (K char) = 2^n char, consistency with the involution
-            k = core.k_reference(n)
-            char = gf2.weight_character(space)
             yield _instance((t,), gf2.macwilliams_check(space))
-            yield _instance((t,), check_cells([
-                ("dim W + dim W-perp = n", [(None, space.dim + perp.dim, n)]),
-                ("double complement", [(None, gf2.complement(perp), space)]),
-                ("K (K char) = 2^n char",
-                 vector_cells(k.mul_vector(k.mul_vector(char)),
-                              [2 ** n * c for c in char])),
-            ], n=n))
 
     for n in range(1, min(n_max, REDUCTION_CAP) + 1):
         for k_dim in range(n + 1):

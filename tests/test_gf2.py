@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from krawtchouk import core, gf2
+from krawtchouk.matrix import Matrix
 from krawtchouk.spectral import binomial_vector
 
 
@@ -100,6 +101,49 @@ def test_weight_characters():
         assert sum(counts) == 2 ** space.dim
 
 
+def _subspace_of_dim(rng, n, dim):
+    """A seeded subspace of Z_2^n of exactly the given dimension."""
+    vectors = []
+    while len(gf2.subspace_from(vectors, n).basis) < dim:
+        vectors.append(rng.getrandbits(n))
+    return gf2.subspace_from(vectors, n)
+
+
+@pytest.mark.parametrize("dim", range(17))
+def test_blocked_character_is_the_tally_of_every_vector(dim):
+    # both sides of the block edge: the first BLOCK = 10 basis rows are
+    # combined once, the rest walked by Gray code
+    rng = random.Random(1000 + dim)
+    for n in sorted({max(dim, 1), min(dim + 2, 18), 18}):
+        space = _subspace_of_dim(rng, n, dim)
+        counts = gf2.weight_character(space)
+        tally = [0] * (n + 1)
+        for vec in space.vectors():
+            tally[vec.bit_count()] += 1
+        assert counts == tally
+        assert sum(counts) == 2 ** dim
+
+
+def test_macwilliams_check_reports_the_checks_it_shares(monkeypatch):
+    # a fault that leaves the MacWilliams identity standing still fails
+    w = gf2.subspace_from(["110"], 3)
+    real_complement = gf2.complement
+    monkeypatch.setattr(gf2, "complement",
+                        lambda s: real_complement(s) if s is w else s)
+    report = gf2.macwilliams_check(w)      # W-perp-perp read as W-perp
+    assert (report.note, report.location) == ("double complement", None)
+    monkeypatch.undo()
+
+    # K[0, 1] + 1 leaves column 0 = K char({0}) right, but not K (K char)
+    real = core.k_reference(4)
+    rows = [list(row) for row in real.data]
+    rows[0][1] += 1
+    monkeypatch.setattr(gf2, "k_reference", lambda n: Matrix(real.ring, rows))
+    report = gf2.macwilliams_check(gf2.subspace_from([], 4))
+    assert (report.note, report.location) == ("K (K char) = 2^n char", (0,))
+    assert (report.lhs, report.rhs) == ("20", "16")  # 16 + C(4, 1)
+
+
 def test_macwilliams_worked_example():
     w = gf2.subspace_from(["110"], 3)
     assert gf2.macwilliams_check(w)
@@ -131,6 +175,10 @@ def test_macwilliams_random_subspaces():
         n = rng.randint(2, 12)
         space = gf2.random_subspace(rng, n)
         assert gf2.macwilliams_check(space), str(space)
+    for n in range(13, gf2.CHECK_BOUND + 1):  # up to the check's bound
+        for _ in range(6):
+            space = gf2.random_subspace(rng, n)
+            assert gf2.macwilliams_check(space), str(space)
 
 
 def test_scaling_is_cardinality_not_dimension():
@@ -168,5 +216,7 @@ def test_enumeration_bound():
     wide = gf2.subspace_from([1 << i for i in range(25)], 25)
     with pytest.raises(ValueError, match="enumeration bound"):
         list(wide.vectors())
+    with pytest.raises(ValueError, match="enumeration bound"):
+        gf2.weight_character(wide)
     with pytest.raises(ValueError, match="bound"):
         gf2.macwilliams_check(gf2.subspace_from(["1" * 17], 17))

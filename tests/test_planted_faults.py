@@ -2,8 +2,9 @@
 the ``verify`` report of every suite that reads it, as a named failure at
 that order, and never escapes as an exception.
 
-Each row plants +2 in one cell of a builder's output at one order, runs
-every suite, and pins the first failure of each suite that must report it.
+Each row plants +2 in one cell of a builder's output at one order (one
+count of a weight character, for a subspace of Z_2^n), runs every suite,
+and pins the first failure of each suite that must report it.
 A row that fails names a suite blind to that builder.
 """
 
@@ -11,7 +12,7 @@ import json
 
 import pytest
 
-from krawtchouk import cli, spectral, verify
+from krawtchouk import cli, gf2, spectral, verify
 from krawtchouk.matrix import Matrix
 
 N_MAX = 8
@@ -26,15 +27,27 @@ FAULTS = [
                     "lhs": "6", "rhs": "4"}],
       "sympow": [{"n": 5, "check": "U^on = B", "location": [0, 2],
                   "lhs": "1", "rhs": "3"}]}),
+    # counts[0] = 1 + 2 in both characters: at random instance 7, with
+    # dim W = 1, 2 (1 + 2) = 6 against K char(W)[0] = 2 + 2 = 4; the axes
+    # of dim 0 have b^(0) = [1, 0, ...]
+    (gf2, "weight_character", 7, (0,),
+     {"macwilliams": [{"n": 7, "check": gf2.MACWILLIAMS, "location": [7, 0],
+                       "lhs": "6", "rhs": "4"},
+                      {"n": 7, "check": "char(W) = b^(dim W)",
+                       "location": [0], "lhs": "3", "rhs": "1"}]}),
 ]
 
 
 def plant(monkeypatch, module, name, order, cell):
     real = getattr(module, name)
 
-    def planted(n, *args):
-        out = real(n, *args)
-        if n != order:
+    def planted(arg, *args):
+        out = real(arg, *args)
+        if getattr(arg, "n", arg) != order:  # a subspace's order is its n
+            return out
+        if isinstance(out, list):  # a vector: the cell is (i,)
+            out = out.copy()
+            out[cell[0]] += 2
             return out
         rows = [list(row) for row in out.data]
         rows[cell[0]][cell[1]] += 2
