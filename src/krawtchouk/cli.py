@@ -157,9 +157,7 @@ def cmd_snake(args) -> int:
 def cmd_macwilliams(args) -> int:
     vectors = [s.strip() for s in args.basis.split(",") if s.strip()]
     space = gf2.subspace_from(vectors, args.n)
-    report = gf2.macwilliams_check(space)
-    char = gf2.weight_character(space)
-    perp_char = gf2.weight_character(gf2.complement(space))
+    char, perp_char, report = gf2.macwilliams_characters(space)
     mark = "ok" if report.ok else "MISMATCH"
     print(f"{2 ** space.dim}*{perp_char} = K*{char} ... {mark}")
     return 0 if report.ok else 1

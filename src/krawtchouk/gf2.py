@@ -153,6 +153,28 @@ def weight_character(space: BinarySubspace) -> list:
 MACWILLIAMS = "2^dim(W) char(W-perp) = K char(W)"
 
 
+def macwilliams_characters(space: BinarySubspace) -> tuple:
+    """char(W), char(W-perp) and the report of :func:`macwilliams_check`.
+
+    Each character is counted once, for the check and for its caller.
+    """
+    n = space.n
+    _refuse_above_check_bound(n)
+    perp = complement(space)
+    k = k_reference(n)
+    char = weight_character(space)
+    perp_char = weight_character(perp)
+    image = k.mul_vector(char)
+    report = check_cells([
+        (MACWILLIAMS, _macwilliams_cells(space.dim, perp_char, image)),
+        ("dim W + dim W-perp = n", [(None, space.dim + perp.dim, n)]),
+        ("double complement", [(None, complement(perp), space)]),
+        ("K (K char) = 2^n char",
+         vector_cells(k.mul_vector(image), [2 ** n * c for c in char])),
+    ], n=n)
+    return char, perp_char, report
+
+
 def macwilliams_check(space: BinarySubspace) -> CheckReport:
     """2^dim(W) char(W-perp) = K char(W), entrywise exact.
 
@@ -160,19 +182,7 @@ def macwilliams_check(space: BinarySubspace) -> CheckReport:
     dim W + dim W-perp = n, that W-perp-perp = W, and K (K char) = 2^n char,
     the involution on the character.
     """
-    n = space.n
-    _refuse_above_check_bound(n)
-    perp = complement(space)
-    k = k_reference(n)
-    char = weight_character(space)
-    image = k.mul_vector(char)
-    return check_cells([
-        (MACWILLIAMS, _macwilliams_cells(space, perp, image)),
-        ("dim W + dim W-perp = n", [(None, space.dim + perp.dim, n)]),
-        ("double complement", [(None, complement(perp), space)]),
-        ("K (K char) = 2^n char",
-         vector_cells(k.mul_vector(image), [2 ** n * c for c in char])),
-    ], n=n)
+    return macwilliams_characters(space)[2]
 
 
 def _refuse_above_check_bound(n: int):
@@ -180,10 +190,9 @@ def _refuse_above_check_bound(n: int):
         raise ValueError(f"MacWilliams check bound is n <= {CHECK_BOUND}")
 
 
-def _macwilliams_cells(space: BinarySubspace, perp: BinarySubspace, image):
+def _macwilliams_cells(dim: int, perp_char: list, image: list):
     """2^dim(W) char(W-perp) against image = K char(W)."""
-    return vector_cells([2 ** space.dim * c for c in weight_character(perp)],
-                        image)
+    return vector_cells([2 ** dim * c for c in perp_char], image)
 
 
 def coordinate_subspace_note(space: BinarySubspace) -> CheckReport:
@@ -204,7 +213,8 @@ def coordinate_subspace_note(space: BinarySubspace) -> CheckReport:
         ("char(W) = b^(dim W)", vector_cells(char, binomial_vector(n, k))),
         ("K b^(k) = 2^k b^(n-k)",
          vector_cells(image, [2 ** k * x for x in binomial_vector(n, n - k)])),
-        (MACWILLIAMS, _macwilliams_cells(space, complement(space), image)),
+        (MACWILLIAMS, _macwilliams_cells(
+            k, weight_character(complement(space)), image)),
     ], n=n)
 
 

@@ -28,7 +28,7 @@ entries always agree in parity).
 from __future__ import annotations
 
 from math import comb
-from operator import add, sub
+from operator import add, neg, sub
 
 from .core import KrawtchoukMatrix, genfunc_column, k_entry, k_reference
 from .generalized import cross_cells, padded_entries, trace_cells
@@ -138,18 +138,40 @@ def k_pyramid(n: int) -> KrawtchoukMatrix:
     """Krawtchouk matrix grown level by level through the pyramid rules.
 
     From an order-m matrix, column 0 of order m+1 follows by the Pascal
-    rule (new[i] = old[i-1] + old[i]) and column q+1 by the signed rule
-    (new[i] = old_q[i] - old_q[i-1] applied to column q of order m), so the
-    whole pyramid unfolds from the apex [1] with no binomials computed.
+    rule P (new[i] = old[i-1] + old[i]) and column q+1 by the signed rule
+    S (new[i] = old_q[i] - old_q[i-1] applied to column q of order m), so
+    the whole pyramid unfolds from the apex [1] with no binomials computed.
+
+    By induction from the apex, column q of level m is S^q P^(m-q) [1], and
+    P and S commute.  Reading a column backwards keeps P and negates S,
+    which gives the row reflection K[m-i][q] = (-1)^q K[i][q].  Negating
+    the odd entries swaps P and S, which gives the column reflection
+    K[p][m-q] = (-1)^p K[p][q].  So level m keeps only its north-west
+    quarter, columns and entries 0..m//2: when m is odd, each kept column
+    first gains entry (m+1)/2 by the row reflection, and the rules then
+    give the next quarter.  The last quarter unfolds by the row reflection,
+    then the column reflection, for about n^3/12 additions in all.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     cols = [[1]]
-    for _ in range(n):
+    for m in range(n):
+        if m % 2:
+            mid = m // 2
+            for q, col in enumerate(cols):
+                col.append(-col[mid] if q % 2 else col[mid])
         first = cols[0]
-        grown = [list(map(add, [0] + first, first + [0]))]
-        grown += [list(map(sub, prev + [0], [0] + prev)) for prev in cols]
-        cols = grown
+        kept = cols if m % 2 else cols[:-1]
+        cols = [list(map(add, [0] + first, first))]
+        cols += [list(map(sub, prev, [0] + prev)) for prev in kept]
+    half = n // 2
+    for q, col in enumerate(cols):
+        tail = col[:n - half][::-1]
+        col += map(neg, tail) if q % 2 else tail
+    for q in range(n - half - 1, -1, -1):
+        col = cols[q].copy()
+        col[1::2] = map(neg, col[1::2])
+        cols.append(col)
     return KrawtchoukMatrix(n, Matrix(ZZ, zip(*cols)), "PyramidRecurrence")
 
 

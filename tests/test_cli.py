@@ -9,7 +9,7 @@ from pathlib import Path, PurePosixPath
 
 import pytest
 
-from krawtchouk import cli, core, generalized, hadamard, sympow
+from krawtchouk import cli, core, generalized, gf2, hadamard, sympow
 from krawtchouk.matrix import Matrix
 
 REPORT_SCHEMA = {
@@ -286,6 +286,21 @@ def test_macwilliams_command(capsys):
     assert code == 0
     assert "2*[1, 1, 1, 1] = K*[1, 0, 1, 0]" in out
     assert "ok" in out
+
+
+def test_macwilliams_command_counts_each_character_once(monkeypatch, capsys):
+    dims = []
+    real = gf2.weight_character
+
+    def counted(space):
+        dims.append(space.dim)
+        return real(space)
+
+    monkeypatch.setattr(gf2, "weight_character", counted)
+    code, out, _ = run_cli(capsys, "macwilliams", "--n", "5",
+                           "--basis", "10100,01011")
+    assert code == 0 and out.endswith("... ok\n")
+    assert dims == [2, 3]  # W, then W-perp
 
 
 def test_pyramid_command(capsys):

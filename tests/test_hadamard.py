@@ -151,6 +151,13 @@ def test_pyramid_recurrence_construction(n):
     assert built.mat == core.k_genfunc(n).mat
 
 
+@pytest.mark.parametrize("n", [*range(41), 95, 96, 97])
+def test_pyramid_quarter_unfolds_to_every_cell(n):
+    # odd levels extend the kept quarter by the row reflection; even and
+    # odd final orders unfold a quarter with and without a middle row
+    assert hadamard.k_pyramid(n).mat == core.k_reference(n)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_pyramid_cross_identities(n):
     assert hadamard.pyramid_cross_check(n)

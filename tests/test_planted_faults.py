@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from krawtchouk import cli, gf2, spectral, verify
+from krawtchouk import cli, gf2, hadamard, spectral, verify
+from krawtchouk.core import KrawtchoukMatrix
 from krawtchouk.matrix import Matrix
 
 N_MAX = 8
@@ -35,6 +36,11 @@ FAULTS = [
                        "lhs": "6", "rhs": "4"},
                       {"n": 7, "check": "char(W) = b^(dim W)",
                        "location": [0], "lhs": "3", "rhs": "1"}]}),
+    # K(7, 2, 3) = -3 + 2; the pyramid is read only against the reference
+    (hadamard, "k_pyramid", 7, (2, 3),
+     {"construction-equivalence": [{"n": 7, "check": "pyramid recurrence = K",
+                                    "location": [2, 3], "lhs": "-1",
+                                    "rhs": "-3"}]}),
 ]
 
 
@@ -49,11 +55,17 @@ def plant(monkeypatch, module, name, order, cell):
             out = out.copy()
             out[cell[0]] += 2
             return out
-        rows = [list(row) for row in out.data]
-        rows[cell[0]][cell[1]] += 2
-        return Matrix(out.ring, rows)
+        if isinstance(out, KrawtchoukMatrix):  # a tagged matrix: plant in it
+            return out._replace(mat=shifted(out.mat, cell))
+        return shifted(out, cell)
 
     monkeypatch.setattr(module, name, planted)
+
+
+def shifted(mat, cell):
+    rows = [list(row) for row in mat.data]
+    rows[cell[0]][cell[1]] += 2
+    return Matrix(mat.ring, rows)
 
 
 @pytest.mark.parametrize("module, name, order, cell, reported", FAULTS,
