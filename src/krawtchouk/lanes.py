@@ -10,6 +10,16 @@ stays within the bound the width was chosen for.  Decoding reads the lanes
 back as balanced base-2^L digits; a remainder left above the last lane means
 a lane overflowed, and is an error rather than wrong digits.
 
+Lane by lane, packing and reading shift the row-wide int once per lane,
+which costs O(m^2 L) for m lanes of L bits.  A row wider than one leaf of
+LEAF_BITS bits is worked in halves instead: ``pack`` packs each half and
+joins the two with one shift, and ``unpack`` splits at the lane boundary
+nearest the middle until every part is at most one leaf wide, then reads
+each part lane by lane.  That costs O(m L log m) for the halving and
+O(LEAF_BITS) per lane for the leaves.  The digits, the widths and the
+overflow error are those of the lane-by-lane loop, which is what runs at
+or below one leaf.
+
 The codec is shared arithmetic: :func:`krawtchouk.hadamard.reduce_to_symmetric`,
 :func:`krawtchouk.sympow.sym_group_power` and the integer products of
 :meth:`krawtchouk.matrix.Matrix.mul` each pack their own values, and
@@ -21,6 +31,8 @@ from __future__ import annotations
 
 from operator import lshift
 
+LEAF_BITS = 8192  # widest part packed and read lane by lane
+
 
 def lane_bits(bound: int) -> int:
     """Lane width L with every |x| <= bound below 2^L / 2."""
@@ -30,33 +42,54 @@ def lane_bits(bound: int) -> int:
 class Lanes:
     """``count`` lanes of ``bits`` bits each in one Python int."""
 
-    __slots__ = ("bits", "count", "shifts", "_mask", "_offset", "_bias")
+    __slots__ = ("bits", "count", "shifts", "_leaf", "_mask", "_offset",
+                 "_bias")
 
     def __init__(self, bits: int, count: int):
         self.bits = bits
         self.count = count
+        self._leaf = max(1, LEAF_BITS // bits)  # lanes per leaf
         self.shifts = range(0, bits * count, bits)
         self._mask = (1 << bits) - 1
         self._offset = 1 << (bits - 1)
-        # one offset per lane: lifts every balanced digit into [0, 2^L)
-        self._bias = self.pack([self._offset] * count)
+        # one offset per lane, 2^(L-1) (1 + 2^L + ... + 2^(L (count-1))):
+        # lifts every balanced digit into [0, 2^L)
+        self._bias = self._offset * (((1 << bits * count) - 1) // self._mask)
 
     def pack(self, values) -> int:
-        """sum_q values[q] 2^(L q), for at most ``count`` values."""
+        """sum_q values[q] 2^(L q), for at most ``count`` values.
+
+        Above one leaf the two halves pack apart and join with one shift.
+        """
         if len(values) > self.count:
             raise ValueError(f"{len(values)} values for {self.count} lanes")
-        return sum(map(lshift, values, self.shifts))
+        if len(values) <= self._leaf:
+            return sum(map(lshift, values, self.shifts))
+        half = len(values) // 2
+        return (self.pack(values[:half])
+                + (self.pack(values[half:]) << self.bits * half))
 
     def unpack(self, total: int) -> list:
         """The ``count`` balanced base-2^L digits of ``total``, lowest first.
 
-        Adding the bias makes every digit non-negative, so each lane reads
-        off with a shift and a mask; what is left above the last lane is the
-        remainder, which must vanish.
+        Adding the bias makes every digit non-negative; what is left above
+        the last lane is the remainder, which must vanish.
         """
         lifted = total + self._bias
-        mask, offset = self._mask, self._offset
-        digits = [((lifted >> s) & mask) - offset for s in self.shifts]
         if lifted >> (self.bits * self.count):
             raise AssertionError("a packed value overflowed its lanes")
-        return digits
+        if self.count <= self._leaf:  # the loop of _read, without a call
+            mask, offset = self._mask, self._offset
+            return [((lifted >> s) & mask) - offset for s in self.shifts]
+        return self._read(lifted, self.shifts)
+
+    def _read(self, part: int, shifts: range) -> list:
+        """The digits of a non-negative ``part`` at ``shifts``: lane by lane
+        within one leaf, else each half of the lanes apart."""
+        if len(shifts) <= self._leaf:
+            mask, offset = self._mask, self._offset
+            return [((part >> s) & mask) - offset for s in shifts]
+        half = len(shifts) // 2
+        low = shifts[half]  # the bits below the upper half
+        return (self._read(part & ((1 << low) - 1), shifts[:half])
+                + self._read(part >> low, shifts[:len(shifts) - half]))

@@ -5,9 +5,10 @@ n up to a few hundred, or 2^n x 2^n with n <= 10), so a matrix is a plain
 tuple of tuples of scalars and every operation is exact in every ring.
 The product has two paths, chosen by the ring alone:
 
-* over ``ZZ`` each row of B is packed into one int by the lane codec of
-  :mod:`krawtchouk.lanes`, so row i of AB costs one big-int multiply-add
-  per nonzero a_ik;
+* over ``ZZ`` the rows of B or the columns of A, whichever takes fewer
+  big-int multiply-adds, are packed into one int each by the lane codec
+  of :mod:`krawtchouk.lanes`, so row i of AB costs one multiply-add per
+  nonzero a_ik, or column j one per nonzero b_kj;
 * over every other ring each cell sums over the nonzero positions of the
   sparser of its row and column, so diagonal, banded and skew factors
   stay O(n^2).
@@ -106,12 +107,18 @@ class Matrix:
 
         Over ``ZZ``, row i of AB is sum_k a_ik row_k(B) with every row of B
         packed into one int (:mod:`krawtchouk.lanes`): one big-int
-        multiply-add per nonzero a_ik, since adding even a zero term copies
-        the row-wide int.  Its lanes hold the largest row abs-sum of A
-        times the largest |b|, which bounds every |(AB)_ij|.  Over every
-        other ring each cell sums over the nonzero positions of the sparser
-        of its row of A and its column of B, so diagonal, banded and skew
-        factors cost O(n^2) and dense factors O(n^3).
+        multiply-add on cols(B) lanes per nonzero a_ik, since adding even a
+        zero term copies the row-wide int.  Its lanes hold the largest row
+        abs-sum of A times the largest |b|, which bounds every |(AB)_ij|.
+        When nnz(B) rows(A) < nnz(A) cols(B), the product is (B^T A^T)^T
+        instead: column j of AB is sum_k b_kj col_k(A), one multiply-add on
+        rows(A) lanes per nonzero b_kj, with lanes that hold the largest
+        column abs-sum of B times the largest |a|.  So a diagonal, skew or
+        triangular right factor costs its own nonzeros, not those of a
+        dense left factor.  Over every other ring each cell sums over the
+        nonzero positions of the sparser of its row of A and its column of
+        B, so diagonal, banded and skew factors cost O(n^2) and dense
+        factors O(n^3).
         """
         self._check_ring(other)
         if self.cols != other.rows:
@@ -133,14 +140,23 @@ class Matrix:
         return Matrix(self.ring, out)
 
     def _packed_mul(self, other: "Matrix") -> "Matrix":
-        """Integer product with the rows of ``other`` packed into lanes."""
-        bound = (max(sum(map(abs, row)) for row in self.data)
-                 * max(max(map(abs, row)) for row in other.data))
-        lanes = Lanes(lane_bits(bound), other.cols)
-        packed = [lanes.pack(row) for row in other.data]
-        return Matrix(ZZ, [
-            lanes.unpack(sum([a * p for a, p in zip(row, packed) if a]))
-            for row in self.data])
+        """Integer product with the rows of ``other`` packed into lanes, or
+        the columns of ``self`` when that takes fewer multiply-adds."""
+        a, b = self.data, other.data
+        nnz_a = self.rows * self.cols - sum(row.count(0) for row in a)
+        nnz_b = other.rows * other.cols - sum(row.count(0) for row in b)
+        # the rows of AB cost nnz(A) multiply-adds on cols(B)-lane ints, its
+        # columns, as the rows of B^T A^T, nnz(B) on rows(A)-lane ints
+        flip = nnz_a * other.cols > nnz_b * self.rows
+        if flip:
+            a, b = tuple(zip(*b)), tuple(zip(*a))
+        bound = (max(sum(map(abs, row)) for row in a)
+                 * max(max(map(abs, row)) for row in b))
+        lanes = Lanes(lane_bits(bound), len(b[0]))
+        packed = [lanes.pack(row) for row in b]
+        out = [lanes.unpack(sum([x * p for x, p in zip(row, packed) if x]))
+               for row in a]
+        return Matrix(ZZ, zip(*out) if flip else out)
 
     __matmul__ = mul
 

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from krawtchouk import cli, core, hadamard, sympow
-from krawtchouk.lanes import Lanes, lane_bits
+from krawtchouk.lanes import LEAF_BITS, Lanes, lane_bits
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import ZZ
 
@@ -90,10 +90,20 @@ def test_reduce_asserts_its_lanes_hold(monkeypatch):
 BOUNDS = [0, 1, 2, 3, 7, 8, 255, 256, 2 ** 64 - 1, 2 ** 64, 10 ** 30]
 
 
+def counts_across_the_leaf(bits):
+    """Lane counts on both sides of one leaf and of powers of two.
+
+    Above one leaf of LEAF_BITS bits the codec packs and reads in halves.
+    """
+    leaf = max(1, LEAF_BITS // bits)
+    return sorted({1, 2, 5, 17, 31, 32, 33, 64, 65, 97, 129, 193,
+                   leaf, leaf + 1, 2 * leaf, 2 * leaf + 1, 3 * leaf + 2})
+
+
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_lanes_round_trip_every_value_within_the_bound(bound):
     rng = random.Random(bound)
-    for count in (1, 2, 5, 17):
+    for count in counts_across_the_leaf(lane_bits(bound)):
         lanes = Lanes(lane_bits(bound), count)
         for values in ([bound] * count, [-bound] * count,
                        [rng.randint(-bound, bound) for _ in range(count)],
@@ -104,6 +114,41 @@ def test_lanes_round_trip_every_value_within_the_bound(bound):
             assert lanes.unpack(packed) == values
         # fewer values than lanes leave the top lanes zero
         assert lanes.unpack(lanes.pack([bound])) == [bound] + [0] * (count - 1)
+
+
+def unpack_lane_by_lane(total, bits, count):
+    """Balanced base-2^bits digits of ``total``, one shift and mask per
+    lane, with the remainder above the last lane checked last."""
+    offset = 1 << (bits - 1)
+    lifted = total + sum(offset << (bits * q) for q in range(count))
+    digits = [((lifted >> (bits * q)) & ((1 << bits) - 1)) - offset
+              for q in range(count)]
+    if lifted >> (bits * count):
+        raise AssertionError("a packed value overflowed its lanes")
+    return digits
+
+
+@pytest.mark.parametrize("bits", [1, 2, 7, 64, 101, 385, LEAF_BITS + 1])
+def test_unpack_reads_the_digits_of_the_lane_by_lane_loop(bits):
+    rng = random.Random(bits)
+    for count in counts_across_the_leaf(bits):
+        lanes = Lanes(bits, count)
+        width = bits * count
+        # a value past the bound in a middle lane carries into the next
+        # lane instead of raising; it must carry the same way in both
+        carried = [0] * count
+        carried[count // 2] = 1 << (bits - 1)
+        totals = [lanes.pack(carried), -lanes.pack(carried), -1, 0]
+        totals += [rng.randrange(-(1 << width), 1 << width)
+                   for _ in range(6)]
+        for total in totals:
+            try:
+                expected = unpack_lane_by_lane(total, bits, count)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="overflowed"):
+                    lanes.unpack(total)
+            else:
+                assert lanes.unpack(total) == expected
 
 
 def test_lanes_carry_sums_and_products_of_their_values():
@@ -121,7 +166,8 @@ def test_lanes_carry_sums_and_products_of_their_values():
 @pytest.mark.parametrize("bound", [b for b in BOUNDS if b])
 def test_a_lane_one_bit_too_narrow_is_refused(bound):
     narrow = lane_bits(bound) - 1
-    for count in (1, 3):
+    leaf = max(1, LEAF_BITS // narrow)
+    for count in (1, 3, leaf + 1, 2 * leaf + 1):
         lanes = Lanes(narrow, count)
         with pytest.raises(AssertionError, match="overflowed"):
             lanes.unpack(lanes.pack([0] * (count - 1) + [bound]))

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from krawtchouk import matrix, sympow
+from krawtchouk import core, matrix, spectral, sympow
 from krawtchouk.matrix import Matrix, check_cells, vector_cells
 from krawtchouk.rings import (ALPHA, BETA, CC, GAUSS, Gaussian, POLY2, Poly2,
                               QQ, RINGS, ROOT2, RootTwo, ZZ)
@@ -295,6 +295,23 @@ def integer_pairs(rng):
     yield "10^30", fill(5, 4, 1, -big, big), fill(4, 6, 1, -big, big)
     yield "+-10^30 extremes", Matrix(ZZ, [[big, -big], [-big, big]]), \
         Matrix(ZZ, [[big, big], [-big, big]])
+    # the shapes of the identity checks, which pack the columns of A
+    # when that takes fewer multiply-adds than packing the rows of B
+    values = [rng.randint(-9, 9) or 1 for _ in range(7)]
+    yield "times diagonal", fill(7, 7, 1), Matrix.diag(values)
+    yield "times skew", fill(7, 7, 1), Matrix.skewdiag(values)
+    yield "diagonal times", Matrix.diag(values), fill(7, 7, 1)
+    yield "tridiagonal times", Matrix(ZZ, [
+        [x if abs(i - j) <= 1 else 0 for j, x in enumerate(row)]
+        for i, row in enumerate(fill(7, 7, 1).data)]), fill(7, 7, 1)
+    yield "times upper-triangular", fill(7, 7, 1), Matrix(ZZ, [
+        [x if i <= j else 0 for j, x in enumerate(row)]
+        for i, row in enumerate(fill(7, 7, 1).data)])
+    # 2 lanes of columns of A instead of 7 lanes of rows of B
+    yield "2x9 times sparse 9x7", fill(2, 9, 1), fill(9, 7, 0.15)
+    yield "sparse 9x2 times 2x7", fill(9, 2, 0.5), fill(2, 7, 1)
+    yield "10^30 times skew", fill(5, 5, 1, -big, big), \
+        Matrix.skewdiag([big, -big, 1, big, -1])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -335,6 +352,41 @@ def test_every_integer_product_is_packed(monkeypatch):
         b = tridiagonal.map(ring.one.__mul__, ring)
         assert a @ b == naive_product(a, b)
     assert len(calls) == len(products)
+
+
+def test_a_product_packs_the_factor_with_fewer_multiply_adds(monkeypatch):
+    packed = []
+
+    class Spy(matrix.Lanes):
+        __slots__ = ()
+
+        def pack(self, values):
+            packed.append(tuple(values))
+            return super().pack(values)
+
+    def packed_rows(a, b):
+        packed.clear()
+        assert a @ b == naive_product(a, b)
+        return packed
+
+    monkeypatch.setattr(matrix, "Lanes", Spy)
+    n = 12
+    k = core.k_reference(n)
+    b = spectral.binomial_matrix(n)
+    # K Lambda and B D: one multiply-add per nonzero of the diagonal or
+    # skew factor, on the packed columns of K and of B
+    assert packed_rows(k, core.lambda_matrix(n)) == list(zip(*k.data))
+    assert packed_rows(b, spectral.skew_power_matrix(n)) == \
+        list(zip(*b.data))
+    # M K and K K: the rows of K, since M has fewer nonzeros than K and
+    # a tie keeps the rows of the right factor
+    assert packed_rows(core.kac_matrix(n), k) == list(k.data)
+    assert packed_rows(k, k) == list(k.data)
+    # a wide sparse right factor: 2 lanes of columns of A, not 7 of rows of B
+    wide = Matrix(ZZ, [[1, 2, 3], [4, 5, 6]])
+    sparse = Matrix(ZZ, [[0, 0, 0, 0, 0, 0, 7], [0] * 7,
+                         [0, 8, 0, 0, 0, 0, 0]])
+    assert packed_rows(wide, sparse) == list(zip(*wide.data))
 
 
 def test_packed_product_asserts_its_lanes_hold(monkeypatch):

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from krawtchouk import cli, gf2, hadamard, spectral, verify
+from krawtchouk import cli, core, gf2, hadamard, spectral, verify
 from krawtchouk.core import KrawtchoukMatrix
 from krawtchouk.matrix import Matrix
 
@@ -41,6 +41,12 @@ FAULTS = [
      {"construction-equivalence": [{"n": 7, "check": "pyramid recurrence = K",
                                     "location": [2, 3], "lhs": "-1",
                                     "rhs": "-3"}]}),
+    # K(7, 2, 3) = -3 + 2 in the binomial sum; only the construction
+    # equivalence compares it, against the generating function
+    (core, "k_binsum", 7, (2, 3),
+     {"construction-equivalence": [{"n": 7, "check": "GenFunc = BinomialSum",
+                                    "location": [2, 3], "lhs": "-3",
+                                    "rhs": "-1"}]}),
 ]
 
 
