@@ -143,12 +143,23 @@ def k_entry(n: int, p: int, q: int) -> int:
 
 
 def k_binsum(n: int) -> KrawtchoukMatrix:
-    """Krawtchouk matrix assembled entry by entry from the binomial sum.
+    """Krawtchouk matrix from the binomial sum, evaluated on one quarter.
 
     K_pq = sum_k (-1)^k C(q, k) C(n-q, p-k), with every binomial read from
     rows 0..n of Pascal's triangle, built once by additions.  Column q
     pairs the signed row q with row n-q reversed, so entry (p, q) is one
     dot product of two slices.
+
+    The sum itself has two reflections.  Substituting j = q - k in the sum
+    for K_(n-p)q turns C(q, k) C(n-q, n-p-k) into C(q, j) C(n-q, p-j) and
+    (-1)^k into (-1)^q (-1)^j, so K_(n-p)q = (-1)^q K_pq (rows).
+    Substituting j = p - k in the sum for K_p(n-q) turns C(n-q, k)
+    C(q, p-k) into C(q, j) C(n-q, p-j) and (-1)^k into (-1)^p (-1)^j, so
+    K_p(n-q) = (-1)^p K_pq (columns).  So the sum runs only over rows
+    and columns 0..n//2, about a quarter of the cells, where every term
+    index k = 0..min(p, q) is in range.  Each kept column gains rows
+    n//2+1..n by the row reflection, then columns n//2+1..n follow by the
+    column reflection.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -156,17 +167,20 @@ def k_binsum(n: int) -> KrawtchoukMatrix:
     for _ in range(n):
         row = pascal[-1]
         pascal.append(list(map(operator.add, [0] + row, row + [0])))
+    half = n // 2
     cols = []
-    for q in range(n + 1):
+    for q in range(half + 1):
         signed = [-c if k % 2 else c for k, c in enumerate(pascal[q])]
-        # rest[n - q - p + k] = C(n-q, p-k)
+        # rest[n - q - p + k] = C(n-q, p-k); map stops after min(p, q) + 1
         rest = pascal[n - q][::-1]
-        col = []
-        for p in range(n + 1):
-            lo, hi = max(0, p - (n - q)), min(q, p) + 1
-            shift = n - q - p
-            col.append(sum(map(operator.mul, signed[lo:hi],
-                               rest[shift + lo:shift + hi])))
+        col = [sum(map(operator.mul, signed, rest[n - q - p:]))
+               for p in range(half + 1)]
+        tail = col[:n - half][::-1]
+        col += map(operator.neg, tail) if q % 2 else tail
+        cols.append(col)
+    for q in range(n - half - 1, -1, -1):
+        col = cols[q].copy()
+        col[1::2] = map(operator.neg, col[1::2])
         cols.append(col)
     return KrawtchoukMatrix(n, Matrix(ZZ, zip(*cols)), "BinomialSum")
 

@@ -22,7 +22,9 @@ local rules:
 
 The down rules are seeded once and propagate forever; the up rules divide
 by 2, and the divisions are asserted to be exact (adjacent Krawtchouk
-entries always agree in parity).
+entries always agree in parity).  :func:`k_pyramid` grows K level by level
+through the two down rules, on columns packed by the lane codec, where
+each rule is one shift and one add.
 """
 
 from __future__ import annotations
@@ -143,32 +145,31 @@ def k_pyramid(n: int) -> KrawtchoukMatrix:
     the whole pyramid unfolds from the apex [1] with no binomials computed.
 
     By induction from the apex, column q of level m is S^q P^(m-q) [1], and
-    P and S commute.  Reading a column backwards keeps P and negates S,
-    which gives the row reflection K[m-i][q] = (-1)^q K[i][q].  Negating
-    the odd entries swaps P and S, which gives the column reflection
-    K[p][m-q] = (-1)^p K[p][q].  So level m keeps only its north-west
-    quarter, columns and entries 0..m//2: when m is odd, each kept column
-    first gains entry (m+1)/2 by the row reflection, and the rules then
-    give the next quarter.  The last quarter unfolds by the row reflection,
-    then the column reflection, for about n^3/12 additions in all.
+    P and S commute.  Negating the odd entries swaps P and S, which gives
+    the column reflection K[p][m-q] = (-1)^p K[p][q].  So level m keeps
+    only columns 0..m//2, each at full height and packed into one int by
+    the codec of :mod:`krawtchouk.lanes`: entry i sits in lane i, so P is
+    c + (c << L) and S is c - (c << L), exact integer identities that cost
+    one shift and one add per kept column, not one addition per entry.
+    The lanes are L = lane_bits(2^n) bits wide, because every entry of
+    level m <= n is at most C(m, p) <= 2^m in size (Vandermonde: |K[p][q]|
+    <= sum_k C(q, k) C(m-q, p-k) = C(m, p)); the width is a bound, so
+    still no binomial is computed.  Each of the n//2 + 1 columns of level
+    n is unpacked once into n + 1 entries, a lane overflow being an error,
+    and the other columns follow by the column reflection.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    cols = [[1]]
+    lanes = Lanes(lane_bits(1 << n), n + 1)
+    bits = lanes.bits
+    cols = [1]
     for m in range(n):
-        if m % 2:
-            mid = m // 2
-            for q, col in enumerate(cols):
-                col.append(-col[mid] if q % 2 else col[mid])
         first = cols[0]
         kept = cols if m % 2 else cols[:-1]
-        cols = [list(map(add, [0] + first, first))]
-        cols += [list(map(sub, prev, [0] + prev)) for prev in kept]
-    half = n // 2
-    for q, col in enumerate(cols):
-        tail = col[:n - half][::-1]
-        col += map(neg, tail) if q % 2 else tail
-    for q in range(n - half - 1, -1, -1):
+        cols = [first + (first << bits)]
+        cols += [c - (c << bits) for c in kept]
+    cols = [lanes.unpack(c) for c in cols]
+    for q in range(n - n // 2 - 1, -1, -1):
         col = cols[q].copy()
         col[1::2] = map(neg, col[1::2])
         cols.append(col)

@@ -50,6 +50,13 @@ def test_genfunc_equals_binsum_at_high_order(n):
     assert core.k_genfunc(n) == core.k_binsum(n)
 
 
+@pytest.mark.parametrize("n", [*range(41), 95, 96, 97])
+def test_binsum_quarter_unfolds_to_every_cell(n):
+    # even and odd orders unfold a quarter with and without a middle row
+    # and column
+    assert core.k_binsum(n).mat == core.k_reference(n)
+
+
 def test_genfunc_sweep_asserts_exact_division():
     # (1+t)(1-t) = 1 - t^2 steps to (1-t)^2 = 1 - 2t + t^2
     assert core._next_genfunc_column([1, 0, -1]) == [1, -2, 1]
@@ -364,6 +371,28 @@ def test_constructions_never_read_the_reference(monkeypatch, capsys):
     assert cli.main(["gen", "krawtchouk", "--n", str(n),
                      "--format", "json"]) == 0
     assert Matrix.from_json(capsys.readouterr().out) == table
+
+
+def test_constructions_build_k_with_every_genfunc_route_refused(
+        monkeypatch):
+    n = 9
+    table, symmetric = core.k_reference(n), core.k_symmetric(n)
+
+    def refuse(*args):
+        raise RuntimeError("construction read another route to K")
+
+    for module, name in [(core, "k_reference"), (core, "k_genfunc"),
+                         (core, "genfunc_column"), (hadamard, "k_reference"),
+                         (hadamard, "genfunc_column"), (hadamard, "k_entry"),
+                         (sympow, "k_reference")]:
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(RuntimeError):
+        core.k_genfunc(n)  # the patch holds
+    assert core.k_binsum(n).mat == table
+    assert hadamard.k_pyramid(n).mat == table
+    assert sympow.sym_group_power(sympow.MAT_H, n) == table
+    assert pathsum.oracle_matrix(n) == table
+    assert hadamard.reduce_to_symmetric(n) == symmetric
 
 
 def test_genfunc_builds_a_new_matrix_each_call():

@@ -197,11 +197,18 @@ def test_pyramid_recurrence_construction(n):
     assert built.mat == core.k_genfunc(n).mat
 
 
-@pytest.mark.parametrize("n", [*range(41), 95, 96, 97])
+@pytest.mark.parametrize("n", [*range(41), 95, 96, 97, 191, 192, 193])
 def test_pyramid_quarter_unfolds_to_every_cell(n):
-    # odd levels extend the kept quarter by the row reflection; even and
-    # odd final orders unfold a quarter with and without a middle row
+    # even and odd orders keep n//2 + 1 columns with and without a middle
+    # one, and the lane width lane_bits(2^n) grows with n
     assert hadamard.k_pyramid(n).mat == core.k_reference(n)
+
+
+def test_pyramid_asserts_its_lanes_hold(monkeypatch):
+    # 2-bit lanes at n = 6 overflow; the decode must refuse, not return
+    monkeypatch.setattr(hadamard, "lane_bits", lambda bound: 2)
+    with pytest.raises(AssertionError, match="overflowed"):
+        hadamard.k_pyramid(6)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

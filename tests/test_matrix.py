@@ -110,6 +110,31 @@ def test_check_cells_compares_complex_floats_exactly():
         assert report.rhs == str(1 + 2j + offset)
 
 
+def test_a_complex_nan_compared_with_itself_fails_at_its_cell():
+    # tuple equality takes the one NaN object as equal to itself, so equal
+    # complex data must still be scanned with !=
+    a = Matrix(CC, [[1 + 0j, 2j], [complex("nan"), 1 + 0j]])
+    assert a.data == a.data
+    report = check_cells([("A = A", a.cells(a))])
+    assert not report.ok and report.location == (1, 0)
+    assert (report.lhs, report.rhs) == (str(a[1, 0]), str(a[1, 0]))
+
+
+@pytest.mark.parametrize("ring", [r for r in RINGS.values() if r is not CC],
+                         ids=lambda ring: ring.name)
+def test_equal_matrices_over_an_exact_ring_pass_without_a_scan(ring):
+    a = Matrix.identity(3, ring).add(Matrix(ring, [[ring.one] * 3] * 3))
+    b = Matrix.from_json(a.to_json())  # equal entries, distinct objects
+    assert list(a.cells(b)) == []
+    report = check_cells([("A = B", a.cells(b))], n=3)
+    assert report.ok and report.n == 3
+    c = Matrix(ring, [[x + ring.one if (i, j) == (2, 1) else x
+                       for j, x in enumerate(row)]
+                      for i, row in enumerate(b.data)])
+    report = check_cells([("A = C", a.cells(c))])
+    assert not report.ok and report.location == (2, 1)
+
+
 @pytest.mark.parametrize("ring", RINGS.values(), ids=lambda ring: ring.name)
 def test_equal_matrices_hash_equal(ring):
     eye = Matrix.identity(2, ring)
