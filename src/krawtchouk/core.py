@@ -148,7 +148,7 @@ def k_binsum(n: int) -> KrawtchoukMatrix:
     K_pq = sum_k (-1)^k C(q, k) C(n-q, p-k), with every binomial read from
     rows 0..n of Pascal's triangle, built once by additions.  Column q
     pairs the signed row q with row n-q reversed, so entry (p, q) is one
-    dot product of two slices.
+    dot product of the signed row with a slice of the other.
 
     The sum itself has two reflections.  Substituting j = q - k in the sum
     for K_(n-p)q turns C(q, k) C(n-q, n-p-k) into C(q, j) C(n-q, p-j) and
