@@ -112,11 +112,12 @@ def reduce_to_symmetric(n: int) -> Matrix:
     enough for every |S_pq| <= C(n,p) C(n,q) <= C(n, n/2)^2 (the width rule
     of :func:`krawtchouk.lanes.lane_bits`), so lane q of row a's image is
     that row's sum over the weight-q columns.  Summing the image over each
-    weight-p class of rows and decoding the sum's n+1 lanes gives row p; a
-    remainder above the last lane means a lane overflowed and is an
-    error.  Every Sylvester entry still enters, in factored form; the
-    route shares no code with the generating function, so it stays an
-    independent construction of the symmetric matrix.
+    weight-p class of rows and decoding the sum's n+1 lanes gives row p.
+    The width rule keeps those digits right; the decode raises only on a
+    carry out of the top lane, and the checks catch the rest.  Every
+    Sylvester entry still enters, in factored form; the route shares no
+    code with the generating function, so it stays an independent
+    construction of the symmetric matrix.
     """
     if not 0 <= n <= REDUCE_BOUND:
         raise ValueError(f"reduction bound is 0..{REDUCE_BOUND}")
@@ -155,8 +156,9 @@ def k_pyramid(n: int) -> KrawtchoukMatrix:
     level m <= n is at most C(m, p) <= 2^m in size (Vandermonde: |K[p][q]|
     <= sum_k C(q, k) C(m-q, p-k) = C(m, p)); the width is a bound, so
     still no binomial is computed.  Each of the n//2 + 1 columns of level
-    n is unpacked once into n + 1 entries, a lane overflow being an error,
-    and the other columns follow by the column reflection.
+    n is unpacked once into n + 1 entries (the decode raises only on a
+    carry out of the top lane), and the other columns follow by the
+    column reflection.
     """
     if n < 0:
         raise ValueError("order must be non-negative")

@@ -7,8 +7,11 @@ in one operation (Kronecker substitution): the sum of packed rows scaled by
 integers packs the same combination of the rows, and the product of two
 packed polynomials packs their product, as long as every lane of the result
 stays within the bound the width was chosen for.  Decoding reads the lanes
-back as balanced base-2^L digits; a remainder left above the last lane means
-a lane overflowed, and is an error rather than wrong digits.
+back as balanced base-2^L digits.  The width rule is what keeps the digits
+right: a lane that overflows carries into the next one, and the decode's
+guard catches only a carry out of the top lane, which leaves a remainder
+above it.  A middle lane's overflow decodes to wrong digits and raises
+nothing; the identity checks that compare the result catch the rest.
 
 Lane by lane, packing and reading shift the row-wide int once per lane,
 which costs O(m^2 L) for m lanes of L bits.  A row wider than one leaf of
@@ -74,7 +77,8 @@ class Lanes:
         """The ``count`` balanced base-2^L digits of ``total``, lowest first.
 
         Adding the bias makes every digit non-negative; what is left above
-        the last lane is the remainder, which must vanish.
+        the last lane is the remainder, which must vanish.  It catches a
+        carry out of the top lane only.
         """
         lifted = total + self._bias
         if lifted >> (self.bits * self.count):

@@ -1,9 +1,10 @@
 """Named verification suites over ranges of matrix orders.
 
-Each suite sweeps an identity family up to an order cap and yields a
-:class:`~krawtchouk.matrix.CheckReport` per check; :func:`run_suites`
-names, seeds and records every suite, and the CLI `verify` subcommand is a
-thin wrapper.  Every identity is checked cell by cell through
+Each suite is a list of parts, and each part sweeps an identity family over
+the orders it is given and yields a :class:`~krawtchouk.matrix.CheckReport`
+per check.  :func:`run_suites` alone clips ``n_max`` to each part's orders,
+and it names, seeds and records every suite; the CLI `verify` subcommand is
+a thin wrapper.  Every identity is checked cell by cell through
 :func:`krawtchouk.matrix.check_cells`, so a failure names its check, the
 order n, the first bad cell and its two sides.  The location is [i, j] in a
 matrix, [i] in a vector and null for a scalar identity or for two sides of
@@ -29,8 +30,8 @@ from . import core, gf2, generalized, hadamard, pathsum, quaternion, spectral, s
 from .matrix import CheckReport, Matrix, SuiteReport, check_cells, vector_cells
 from .rings import Gaussian, ZZ
 
-# per-suite caps on top of the user n_max: 2^n enumerations and symbolic
-# expansions get tighter limits so `verify --suites all` stays fast
+# part caps in SUITES on top of the user n_max: 2^n enumerations and
+# symbolic expansions get tighter limits so `verify --suites all` stays fast
 PATH_CAP = 12
 SYMBOLIC_CAP = 8
 SPECTRAL_CAP = 10
@@ -51,49 +52,35 @@ def _instance(index: tuple, report: CheckReport) -> CheckReport:
     return report._replace(location=(*index, *(report.location or ())))
 
 
-def _suite_construction(n_max: int, _rng):
-    for n in range(n_max + 1):
+def _each(check):
+    """A part that yields ``check(n)`` at each order n."""
+    return lambda orders, _rng: map(check, orders)
+
+
+def _constructions(orders, _rng):
+    for n in orders:
         ref = core.k_reference(n)
         yield core.construction_equivalence_check(n)
-        checks = [
+        yield check_cells([
             ("H^on = K", sympow.sym_group_power(sympow.MAT_H, n).cells(ref)),
             ("pyramid recurrence = K", hadamard.k_pyramid(n).mat.cells(ref)),
-        ]
-        if n <= PATH_CAP:
-            idx = range(n + 1)
-            checks += [
-                ("path sum = K", pathsum.oracle_matrix(n, 1, -1).cells(ref)),
-                ("twiston energy = K",
-                 (((p, q), pathsum.twiston_energy(n, q, p), ref[p, q])
-                  for p in idx for q in idx)),
-            ]
-            yield pathsum.partition_check(n)
-        yield check_cells(checks, n=n)
+        ], n=n)
 
 
-def _suite_involution(n_max: int, _rng):
-    for n in range(n_max + 1):
-        yield core.involution_check(n)
+def _oracles(orders, _rng):
+    for n in orders:
+        ref, idx = core.k_reference(n), range(n + 1)
+        # one report: a failed partition, else the oracles' first mismatch
+        yield pathsum.partition_check(n) and check_cells([
+            ("path sum = K", pathsum.oracle_matrix(n, 1, -1).cells(ref)),
+            ("twiston energy = K",
+             (((p, q), pathsum.twiston_energy(n, q, p), ref[p, q])
+              for p in idx for q in idx)),
+        ], n=n)
 
 
-def _suite_master(n_max: int, _rng):
-    for n in range(1, n_max + 1):
-        yield core.master_check(n)
-        yield sympow.master_from_tensor_check(n)
-
-
-def _suite_ortho(n_max: int, _rng):
-    for n in range(1, n_max + 1):
-        yield core.ortho_check(n)
-
-
-def _suite_spectral(n_max: int, _rng):
-    for n in range(min(n_max, SPECTRAL_CAP) + 1):
-        yield spectral.spectral_suite_check(n)
-
-
-def _suite_cross(n_max: int, _rng):
-    for n in range(1, min(n_max, SYMBOLIC_CAP) + 1):
+def _cross(orders, _rng):
+    for n in orders:
         yield generalized.general_cross_check(n)
         symbolic = generalized.k_general_symbolic(n)
         classical = generalized.specialize(symbolic, 1, -1)
@@ -102,14 +89,7 @@ def _suite_cross(n_max: int, _rng):
               classical.cells(core.k_reference(n)))], n=n)
 
 
-def _suite_trace(n_max: int, _rng):
-    for n in range(1, min(n_max, SYMBOLIC_CAP) + 1):
-        yield generalized.trace_identity_check(n)
-    for n in range(1, n_max + 1):
-        yield generalized.trace_identity_check(n, 1, -1)
-
-
-def _suite_quaternion(_n_max: int, rng):
+def _quaternion(_orders, rng):
     yield quaternion.jhhk_check()
     images = quaternion.hadamard_conjugation()
     r, l, n_iso = quaternion.isotropic_basis()
@@ -182,16 +162,9 @@ def _random_quaternion(rng, kind):
                   for _ in range(4)])
 
 
-def _suite_sympow(n_max: int, rng):
-    for n in range(1, n_max + 1):
-        yield sympow.lrn_relations_check(n)
-        yield sympow.symmetry_check(n)
-        yield sympow.skew_factorization_check(n)
-        if n <= KRON_CAP:
-            yield sympow.kron_remark_check(n)
-
+def _functoriality(orders, rng):
     group, algebra = sympow.sym_group_power, sympow.sym_algebra_power
-    for n in range(1, min(n_max, KRON_CAP) + 1):
+    for n in orders:
         for t in range(10):
             a = Matrix(ZZ, [[rng.randint(-4, 4) for _ in range(2)]
                             for _ in range(2)])
@@ -209,8 +182,8 @@ def _suite_sympow(n_max: int, rng):
             ], n=n))
 
 
-def _suite_reduction(n_max: int, _rng):
-    for n in range(min(n_max, REDUCTION_CAP) + 1):
+def _reduction(orders, _rng):
+    for n in orders:
         reduced = hadamard.reduce_to_symmetric(n)
         labels = hadamard.weight_labels(n)
         counts = [labels.count(p) for p in range(n + 1)]
@@ -222,11 +195,10 @@ def _suite_reduction(n_max: int, _rng):
         ], n=n)
 
 
-def _suite_pyramid(n_max: int, _rng):
-    for n in range(1, min(n_max, REDUCTION_CAP) + 1):
-        yield hadamard.pyramid_cross_check(n)
-    for depth in range(3):
-        rows = 5
+def _planes(orders, _rng):
+    # depths 0..2 of five rows each, orders depth..depth + 4, cut at the last
+    for depth in orders[:3]:
+        rows = min(5, orders[-1] - depth + 1)
         planes = {direction: hadamard.pyramid_plane(direction, depth, rows)
                   for direction in hadamard.DIRECTIONS}
         for r in range(rows):
@@ -240,9 +212,9 @@ def _suite_pyramid(n_max: int, _rng):
                  for direction, plane in planes.items()], n=m)
 
 
-def _suite_macwilliams(n_max: int, rng):
-    if n_max >= 3:
-        worked = gf2.subspace_from(["110"], 3)
+def _worked_example(orders, _rng):
+    for n in orders:  # 3 only: the span of 110 in Z_2^3
+        worked = gf2.subspace_from(["110"], n)
         yield gf2.macwilliams_check(worked)
         yield check_cells([
             ("worked example character", vector_cells(
@@ -250,51 +222,78 @@ def _suite_macwilliams(n_max: int, rng):
             ("worked example complement", vector_cells(
                 gf2.weight_character(gf2.complement(worked)),
                 [1, 1, 1, 1])),
-        ], n=3)
+        ], n=n)
 
-    if n_max >= 2:
-        for t in range(RANDOM_SUBSPACES):
-            n = rng.randint(2, min(n_max, REDUCTION_CAP))
-            space = gf2.random_subspace(rng, n)
-            yield _instance((t,), gf2.macwilliams_check(space))
 
-    for n in range(1, min(n_max, REDUCTION_CAP) + 1):
+def _random_subspaces(orders, rng):
+    if not orders:
+        return
+    for t in range(RANDOM_SUBSPACES):
+        n = rng.randint(orders[0], orders[-1])
+        space = gf2.random_subspace(rng, n)
+        yield _instance((t,), gf2.macwilliams_check(space))
+
+
+def _coordinate_subspaces(orders, _rng):
+    for n in orders:
         for k_dim in range(n + 1):
             axes = gf2.subspace_from([1 << i for i in range(k_dim)], n)
             yield gf2.coordinate_subspace_note(axes)
 
 
-def _suite_phase(n_max: int, _rng):
-    for n in range(min(n_max, SPECTRAL_CAP) + 1):
-        yield generalized.phase_coherence_check(n)
-        if 1 <= n <= PATH_CAP:
-            oracle = pathsum.oracle_matrix(n, Gaussian(1), Gaussian(0, 1))
-            yield check_cells(
-                [("path sum = K(i)",
-                  oracle.cells(generalized.k_phase(n, math.pi / 2)))], n=n)
+def _phase_oracle(orders, _rng):
+    for n in orders:
+        oracle = pathsum.oracle_matrix(n, Gaussian(1), Gaussian(0, 1))
+        yield check_cells(
+            [("path sum = K(i)",
+              oracle.cells(generalized.k_phase(n, math.pi / 2)))], n=n)
 
 
+# Each suite's parts (first, cap, part), run in order: a part checks the
+# orders first..min(n_max, cap), or first..n_max when cap is None.  A lambda
+# looks its check up when it runs, so a check patched on its module runs.
 SUITES = {
-    "construction-equivalence": _suite_construction,
-    "involution": _suite_involution,
-    "master": _suite_master,
-    "ortho": _suite_ortho,
-    "spectral": _suite_spectral,
-    "cross": _suite_cross,
-    "trace": _suite_trace,
-    "quaternion": _suite_quaternion,
-    "sympow": _suite_sympow,
-    "hadamard-reduction": _suite_reduction,
-    "pyramid": _suite_pyramid,
-    "macwilliams": _suite_macwilliams,
-    "phase": _suite_phase,
+    "construction-equivalence": [(0, None, _constructions),
+                                 (0, PATH_CAP, _oracles)],
+    "involution": [(0, None, _each(lambda n: core.involution_check(n)))],
+    "master": [(1, None, _each(lambda n: core.master_check(n))),
+               (1, None, _each(
+                   lambda n: sympow.master_from_tensor_check(n)))],
+    "ortho": [(1, None, _each(lambda n: core.ortho_check(n)))],
+    "spectral": [(0, SPECTRAL_CAP,
+                  _each(lambda n: spectral.spectral_suite_check(n)))],
+    "cross": [(1, SYMBOLIC_CAP, _cross)],
+    "trace": [(1, SYMBOLIC_CAP,
+               _each(lambda n: generalized.trace_identity_check(n))),
+              (1, None,
+               _each(lambda n: generalized.trace_identity_check(n, 1, -1)))],
+    "quaternion": [(0, 0, _quaternion)],  # reads no order
+    "sympow": [(1, None, _each(lambda n: sympow.lrn_relations_check(n))),
+               (1, None, _each(lambda n: sympow.symmetry_check(n))),
+               (1, None, _each(lambda n: sympow.skew_factorization_check(n))),
+               (1, KRON_CAP, _each(lambda n: sympow.kron_remark_check(n))),
+               (1, KRON_CAP, _functoriality)],
+    "hadamard-reduction": [(0, REDUCTION_CAP, _reduction)],
+    "pyramid": [(1, REDUCTION_CAP,
+                 _each(lambda n: hadamard.pyramid_cross_check(n))),
+                (0, 6, _planes)],
+    "macwilliams": [(3, 3, _worked_example),
+                    (2, REDUCTION_CAP, _random_subspaces),
+                    (1, REDUCTION_CAP, _coordinate_subspaces)],
+    "phase": [(0, SPECTRAL_CAP,
+               _each(lambda n: generalized.phase_coherence_check(n))),
+              (1, SPECTRAL_CAP, _phase_oracle)],
 }
 
 
 def run_suites(names, n_max: int = 6, seed: int = 0):
     """Run the named suites (or all) and return reports sorted by name.
 
-    Each suite draws from its own ``random.Random(seed)``.
+    The only reader of ``n_max``: each part of a suite gets its orders from
+    its declared first order and cap, and all the parts of a suite draw
+    from the suite's one ``random.Random(seed)``.  An exception raised in a
+    part is one failure of its suite, with ``n`` and ``location`` null,
+    and the run goes on with the next part.
     """
     import random
 
@@ -305,8 +304,14 @@ def run_suites(names, n_max: int = 6, seed: int = 0):
         raise KeyError(f"unknown suites: {', '.join(unknown)}")
     reports = []
     for name in sorted(SUITES) if "all" in names else sorted(set(names)):
-        report = SuiteReport(name, n_max)
-        for check in SUITES[name](n_max, random.Random(seed)):
-            report.record(check)
+        report, rng = SuiteReport(name, n_max), random.Random(seed)
+        for first, cap, part in SUITES[name]:
+            last = n_max if cap is None else min(n_max, cap)
+            try:
+                for check in part(range(first, last + 1), rng):
+                    report.record(check)
+            except Exception as error:  # a guard that fired, say
+                report.record(CheckReport(
+                    False, note=f"{type(error).__name__}: {error}"))
         reports.append(report)
     return reports

@@ -9,7 +9,7 @@ import pytest
 
 from krawtchouk import (cli, core, hadamard, pathsum, quaternion, spectral,
                         sympow, verify)
-from krawtchouk.matrix import Matrix, check_cells
+from krawtchouk.matrix import Matrix, SuiteReport, check_cells
 from krawtchouk.rings import ZZ
 
 from tables import KRAWTCHOUK, SYMMETRIC
@@ -405,11 +405,11 @@ def test_genfunc_builds_a_new_matrix_each_call():
 
 @pytest.fixture
 def no_suite_runs(monkeypatch):
-    def never(n_max, rng):
-        raise AssertionError("a suite ran")
+    def never(orders, rng):
+        pytest.fail("a suite ran")  # no Exception: run_suites would keep it
 
     monkeypatch.setattr(verify, "SUITES",
-                        {name: never for name in verify.SUITES})
+                        {name: [(0, None, never)] for name in verify.SUITES})
 
 
 def test_run_suites_refuses_a_negative_order(no_suite_runs):
@@ -459,11 +459,23 @@ def test_pyramid_suite_compares_the_bottom_row_with_the_reference(
     assert report.failures[-1]["rhs"] == "15"
 
 
-@pytest.mark.parametrize("n_max,orders", [(0, set()), (1, {1}),
-                                            (2, {1, 2})])
-def test_macwilliams_suite_checks_no_order_above_n_max(n_max, orders):
-    reports = list(verify.SUITES["macwilliams"](n_max, random.Random(0)))
-    assert all(reports) and {r.n for r in reports} == orders
+@pytest.mark.parametrize("n_max,macwilliams", [
+    (0, set()), (1, {1}), (2, {1, 2}), (3, {1, 2, 3})])
+def test_no_suite_checks_an_order_above_n_max(monkeypatch, n_max,
+                                              macwilliams):
+    orders = {name: set() for name in verify.SUITES}
+    real = SuiteReport.record
+
+    def record(self, report):
+        orders[self.suite].add(report.n)
+        real(self, report)
+
+    monkeypatch.setattr(SuiteReport, "record", record)
+    assert all(r.ok for r in verify.run_suites(["all"], n_max=n_max))
+    assert orders.pop("quaternion") == {None}  # it checks no order
+    assert all(0 <= n <= n_max for checked in orders.values() for n in checked)
+    assert orders["macwilliams"] == macwilliams
+    assert orders["pyramid"] == set(range(n_max + 1))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -6,8 +6,11 @@ an attribute, so a local variable of the same name hides nothing, and the
 re-exports of ``__init__.py`` read nothing.  Every function reads each of
 its parameters other than ``self``, ``cls`` and names that start with
 ``_``.  Only the three exactness guards raise ``AssertionError``: a
-construction returns its value and a check returns its report.  Importing
-the package loads none of the heavy standard modules it does not need."""
+construction returns its value and a check returns its report.  In
+``verify.py`` only ``run_suites`` reads ``n_max`` and only ``SUITES``
+reads an order cap, and README's table of suite parts is ``SUITES``.
+Importing the package loads none of the heavy standard modules it does
+not need."""
 
 import ast
 import re
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import krawtchouk
+from krawtchouk import verify
 
 PACKAGE = Path(krawtchouk.__file__).parent
 # the package's own imports are its exports (``__all__`` lists them)
@@ -120,9 +124,38 @@ def assertion_raises(source: str, module: str) -> list:
     return found
 
 
-def layout_section(readme: str) -> str:
-    """The text of README's "## Layout" section."""
-    return readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+def readme_section(readme: str, heading: str) -> str:
+    """The text of README's "## <heading>" section."""
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def suite_parts(section: str) -> dict:
+    """{suite: [(first, cap), ...]} from the rows of a markdown table whose
+    columns are suite, part, first order and cap ("none" or a number)."""
+    parts = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 4 and cells[2].isdigit():
+            cap = None if cells[3] == "none" else int(cells[3].split()[0])
+            parts.setdefault(cells[0], []).append((int(cells[2]), cap))
+    return parts
+
+
+def readers(source: str, pattern: str) -> dict:
+    """{name: the module-level defs and assignments that read it} for each
+    name that ``pattern`` matches in full, read or taken as a parameter."""
+    found = {}
+    for statement in ast.parse(source).body:
+        where = getattr(statement, "name", None) or ",".join(
+            t.id for t in getattr(statement, "targets", ())
+            if isinstance(t, ast.Name))
+        for node in ast.walk(statement):
+            name = (node.id if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)
+                    else node.arg if isinstance(node, ast.arg) else None)
+            if name and re.fullmatch(pattern, name):
+                found.setdefault(name, set()).add(where)
+    return found
 
 
 def unlisted_unread(public, reads, layout: str) -> list:
@@ -229,7 +262,7 @@ def test_unread_unlisted_public_names_are_found():
     assert unlisted_unread(public, reads, "") == [
         "grid.LIMIT", "Grid.width", "Grid.of", "Grid.unused"]
     readme = "# x\n\n## Layout\n\ngrid.spare\n\n## Performance\n\nGrid.of\n"
-    assert layout_section(readme) == "\ngrid.spare\n"
+    assert readme_section(readme, "Layout") == "\ngrid.spare\n"
 
 
 def test_unused_parameters_are_found():
@@ -306,11 +339,45 @@ def test_public_names_are_read_or_listed_in_layout():
                for p in folder.glob("*.py")]
     reads = public_reads((p.name, p.read_text(encoding="utf-8"))
                          for p in sources)
-    layout = layout_section((ROOT / "README.md").read_text(encoding="utf-8"))
+    layout = readme_section((ROOT / "README.md").read_text(encoding="utf-8"),
+                            "Layout")
     public = [entry for path in MODULES
               for entry in public_names(path.read_text(encoding="utf-8"),
                                         path.stem)]
     assert unlisted_unread(public, reads, layout) == []
+
+
+def test_suite_parts_and_readers_are_found():
+    table = ("| suite | part | first | cap |\n|---|---|---|---|\n"
+             "| a | one | 0 | none |\n| b | two | 1 | 8 (`CAP`) |\n"
+             "| a | three | 2 | 3 |\n")
+    assert suite_parts(table) == {"a": [(0, None), (2, 3)], "b": [(1, 8)]}
+    source = ("ROW_CAP = 3\n"
+              "def part(orders, n_max=ROW_CAP):\n"
+              "    return orders\n"
+              "def run(n_max):\n"
+              "    return min(n_max, ROW_CAP)\n"
+              "SUITES = {'a': (0, ROW_CAP)}\n")
+    # a parameter counts as a read; the assignment of ROW_CAP does not
+    assert readers(source, r"n_max|\w+_CAP") == {
+        "n_max": {"part", "run"}, "ROW_CAP": {"part", "run", "SUITES"}}
+
+
+def test_only_run_suites_reads_n_max_and_only_suites_reads_a_cap():
+    found = readers(Path(verify.__file__).read_text(encoding="utf-8"),
+                    r"n_max|\w+_CAP")
+    assert found == {"n_max": {"run_suites"}, **{
+        cap: {"SUITES"} for cap in ("PATH_CAP", "SYMBOLIC_CAP",
+                                    "SPECTRAL_CAP", "REDUCTION_CAP",
+                                    "KRON_CAP")}}
+
+
+def test_readme_lists_the_orders_of_each_suite_part():
+    section = readme_section((ROOT / "README.md").read_text(encoding="utf-8"),
+                             "Command line")
+    assert suite_parts(section) == {
+        name: [(first, cap) for first, cap, _ in parts]
+        for name, parts in verify.SUITES.items()}
 
 
 # ``dataclasses`` and what it drags in, ``typing``, ``json`` and
