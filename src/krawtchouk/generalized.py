@@ -2,11 +2,22 @@
 
 Column q of the generalized matrix holds the coefficients of
 (1 + alpha t)^(n-q) (1 + beta t)^q over any commutative ring, so the
-matrix is the n-th symmetric power of [[1, 1], [alpha, beta]] (see
-:func:`krawtchouk.sympow.sym_group_power`).  The classical matrix is the
-specialization (alpha, beta) = (1, -1), the power of the Hadamard matrix.
-Working symbolically (alpha, beta as polynomial generators) proves the
-cross and trace identities for every specialization at once.
+matrix is the n-th symmetric power of [[1, 1], [alpha, beta]].  The
+classical matrix is the specialization (alpha, beta) = (1, -1), the power
+of the Hadamard matrix.  Working symbolically (alpha, beta as polynomial
+generators) proves the cross and trace identities for every
+specialization at once.
+
+Each ring takes one route.  Over the integers and the complex floats the
+matrix is :func:`krawtchouk.sympow.sym_group_power` of [[1, 1], [alpha,
+beta]], packed products for the one and a convolution of precomputed
+powers for the other.  Over the other exact rings (rationals, Gaussian,
+Q[sqrt 2] and the polynomials) column q+1 is column q divided by
+1 + alpha t and multiplied by 1 + beta t, O(n) ring operations a column
+and O(n^2) in all.  The division is exact in any commutative ring, since
+the divisor's constant term is 1, but in floats it cancels: it would put
+a generic K(phi) at n = 16 far outside the 1e-9 C(n, p) bound below, so
+complex floats never divide.
 
 The phase family K(phi) fixes alpha = 1 and beta = e^(i phi).  Phases 0,
 pi/2 and pi land in the exact Gaussian ring (beta = 1, i, -1); anything else
@@ -21,10 +32,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
+from math import comb
 
 from .core import k_reference
 from .matrix import CheckReport, Matrix, check_cells
-from .rings import ALPHA, BETA, GAUSS, Gaussian, POLY2, ring_of
+from .rings import ALPHA, BETA, CC, GAUSS, Gaussian, POLY2, ZZ, ring_of
 from .sympow import sym_group_power
 
 
@@ -32,7 +45,9 @@ def k_general(n: int, alpha, beta) -> Matrix:
     """Generalized Krawtchouk matrix over the ring of (alpha, beta).
 
     The n-th symmetric power of [[1, 1], [alpha, beta]]: its column q is
-    (1 + alpha t)^(n-q) (1 + beta t)^q.
+    (1 + alpha t)^(n-q) (1 + beta t)^q.  Integers and complex floats take
+    ``sym_group_power``; every other ring starts from column 0,
+    C(n, p) alpha^p, and steps with :func:`_next_column`.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -40,7 +55,29 @@ def k_general(n: int, alpha, beta) -> Matrix:
     if ring != ring_of(beta):
         raise ValueError("alpha and beta must come from the same ring")
     one = ring.one
-    return sym_group_power(Matrix(ring, [[one, one], [alpha, beta]]), n)
+    if ring in (ZZ, CC):
+        return sym_group_power(Matrix(ring, [[one, one], [alpha, beta]]), n)
+    powers = [one]
+    for _ in range(n):
+        powers.append(powers[-1] * alpha)
+    cols = [[comb(n, p) * power for p, power in enumerate(powers)]]
+    for _ in range(n):
+        cols.append(_next_column(cols[-1], alpha, beta))
+    return Matrix(ring, zip(*cols))
+
+
+def _next_column(column: list, alpha, beta) -> list:
+    """(1 + beta t)/(1 + alpha t) times a column with 1 + alpha t in it.
+
+    The ascending synthetic division c_i = a_i - alpha c_(i-1) leaves the
+    quotient c_0..c_(n-1); its remainder vanishes because the column holds
+    the factor, and a wrong column fails the cross, trace and phase checks.
+    Multiplying by 1 + beta t then gives d_i = c_i + beta c_(i-1).
+    """
+    quotient = list(accumulate(column[:-1], lambda prev, a: a - alpha * prev))
+    return [quotient[0],
+            *(c + beta * prev for prev, c in zip(quotient, quotient[1:])),
+            beta * quotient[-1]]
 
 
 def k_general_symbolic(n: int) -> Matrix:
@@ -133,20 +170,24 @@ def trace_identity_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
 # complex phases
 # ---------------------------------------------------------------------------
 
-_EXACT_PHASES = [(0, Gaussian(1)), (1, Gaussian(0, 1)),
-                 (2, Gaussian(-1)), (3, Gaussian(0, -1))]
+_UNITS = {1: Gaussian(1), 1j: Gaussian(0, 1), -1: Gaussian(-1),
+          -1j: Gaussian(0, -1)}
 _PHASE_EPS = 1e-12
 
 
 def phase_beta(phi: float):
-    """e^(i phi) as an exact Gaussian unit when phi is a multiple of pi/2."""
-    quarter_turns = math.fmod(phi / (math.pi / 2), 4.0)
-    if quarter_turns < 0:
-        quarter_turns += 4.0
-    for k, val in _EXACT_PHASES:
-        if abs(quarter_turns - k) < _PHASE_EPS or abs(quarter_turns - k - 4) < _PHASE_EPS:
-            return val
-    return cmath.exp(1j * phi)
+    """e^(i phi) as an exact Gaussian unit when phi is a multiple of pi/2.
+
+    The snap reads the distance from e^(i phi) to each unit, which
+    ``cmath.exp`` computes accurately at every finite phi.  The quotient
+    phi / (pi/2) would not do: above 2^53 or so it has no fractional bits
+    left, and every huge angle would look like a quarter turn.
+    """
+    beta = cmath.exp(1j * phi)
+    for z, unit in _UNITS.items():
+        if abs(beta - z) < _PHASE_EPS:
+            return unit
+    return beta
 
 
 def k_phase(n: int, phi: float) -> Matrix:

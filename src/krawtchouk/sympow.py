@@ -17,12 +17,17 @@ the master equation in one stroke: H^group = K, F^algebra = Kac M,
 G^algebra = Lambda.  More generally the group power of
 [[1, 1], [alpha, beta]] has column q equal to (1 + alpha t)^(n-q)
 (1 + beta t)^q in t = y/x: it is the ring-valued K(alpha, beta), which
-:func:`krawtchouk.generalized.k_general` builds this way.  Ordinary
+:func:`krawtchouk.generalized.k_general` builds this way over ``ZZ`` and
+the complex floats.  Over the other exact rings it divides instead (see
+:mod:`krawtchouk.generalized`), which floats cannot afford.  Ordinary
 Kronecker powers and Kronecker-sum ("boxed") powers are provided for the
 unsymmetrized comparison.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import add, mul
 
 from .core import k_reference, kac_matrix, lambda_matrix
 from .lanes import Lanes, lane_bits
@@ -56,10 +61,11 @@ def sym_group_power(a: Matrix, n: int) -> Matrix:
     column q is the one product tops[n-q] * bots[q], decoded into n+1
     lanes.  Every coefficient of column q is at most the product of the
     forms' absolute coefficient sums, (|a|+|c|)^(n-q) (|b|+|d|)^q <= m^n
-    with m the larger sum, and that bound sets L.  Every other ring
-    expands the powers of the first form once, coefficient by coefficient,
-    and column q takes q more factors of the second form from the
-    (n-q)-th of them.
+    with m the larger sum, and that bound sets L.  Every other ring has
+    the same shape unpacked: it expands the powers of both forms once,
+    coefficient by coefficient, and column q is the convolution of
+    tops[n-q] and bots[q], about n^3/6 ring multiply-adds in all.  No
+    step divides, so complex floats only round each product and sum.
     """
     _need_2x2(a)
     if n < 0:
@@ -70,16 +76,12 @@ def sym_group_power(a: Matrix, n: int) -> Matrix:
     if ring == ZZ:
         return Matrix(ZZ, zip(*_packed_power_columns(top, bot, n)))
     zero = ring.zero
-    tops = [[ring.one]]           # coefficients in y-degree, i.e. e-index
+    tops, bots = [[ring.one]], [[ring.one]]   # coefficients by e-index
     for _ in range(n):
         tops.append(_mul_linear_form(tops[-1], top, zero))
-    cols = []
-    for q in range(n + 1):
-        coeffs = tops[n - q]
-        for _ in range(q):
-            coeffs = _mul_linear_form(coeffs, bot, zero)
-        cols.append(coeffs)
-    return Matrix(ring, zip(*cols))
+        bots.append(_mul_linear_form(bots[-1], bot, zero))
+    return Matrix(ring, zip(*(_convolve(tops[n - q], bots[q], zero)
+                              for q in range(n + 1))))
 
 
 def _packed_power_columns(top, bot, n: int) -> list:
@@ -93,6 +95,21 @@ def _packed_power_columns(top, bot, n: int) -> list:
         tops.append(tops[-1] * top_form)
         bots.append(bots[-1] * bot_form)
     return [lanes.unpack(tops[n - q] * bots[q]) for q in range(n + 1)]
+
+
+def _convolve(a: list, b: list, zero) -> list:
+    """Coefficients of the product of two polynomials, lowest first.
+
+    Each coefficient of the shorter one adds its multiple of the longer
+    one, shifted, in one pass over a slice.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    width = len(a)
+    out = [zero] * (width + len(b) - 1)
+    for j, y in enumerate(b):
+        out[j:j + width] = map(add, out[j:j + width], map(mul, a, repeat(y)))
+    return out
 
 
 def _mul_linear_form(coeffs, form, zero):

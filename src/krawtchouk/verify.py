@@ -28,7 +28,7 @@ from math import comb
 
 from . import core, gf2, generalized, hadamard, pathsum, quaternion, spectral, sympow
 from .matrix import CheckReport, Matrix, SuiteReport, check_cells, vector_cells
-from .rings import Gaussian, ZZ
+from .rings import ALPHA, BETA, Gaussian, POLY2, ZZ
 
 # part caps in SUITES on top of the user n_max: 2^n enumerations and
 # symbolic expansions get tighter limits so `verify --suites all` stays fast
@@ -80,10 +80,16 @@ def _oracles(orders, _rng):
 
 
 def _cross(orders, _rng):
+    # each symbolic order is built once for the sweep: the cross
+    # identities at n read the orders n-1, n and n+1
+    built = {}
     for n in orders:
-        yield generalized.general_cross_check(n)
-        symbolic = generalized.k_general_symbolic(n)
-        classical = generalized.specialize(symbolic, 1, -1)
+        for m in (n - 1, n, n + 1):
+            if m not in built:
+                built[m] = generalized.k_general_symbolic(m)
+        entry = generalized.padded_entries(built, POLY2.zero)
+        yield check_cells(generalized.cross_cells(entry, n, ALPHA, BETA), n=n)
+        classical = generalized.specialize(built[n], 1, -1)
         yield check_cells(
             [("K(alpha, beta) at (1,-1) = K",
               classical.cells(core.k_reference(n)))], n=n)

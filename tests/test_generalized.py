@@ -2,13 +2,15 @@
 
 import cmath
 import math
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from krawtchouk import core, generalized
+from krawtchouk import cli, core, generalized
 from krawtchouk.matrix import Matrix
-from krawtchouk.rings import ALPHA, GAUSS, Gaussian, POLY2, parse_poly2
+from krawtchouk.rings import (ALPHA, BETA, GAUSS, Gaussian, POLY2, RootTwo,
+                              parse_poly2, ring_of)
 
 from tables import GENERAL_2, GENERAL_3, PHASE_I
 
@@ -42,6 +44,44 @@ def test_specialization_recovers_classical():
     k = generalized.k_general(3, 2, 5)
     assert k.col(0) == [1, 6, 12, 8]       # (1+2t)^3
     assert k.col(3) == [1, 15, 75, 125]    # (1+5t)^3
+
+
+def term_by_term(n, alpha, beta):
+    """Entry (p, q) = sum over k of C(q, k) C(n-q, p-k) alpha^(p-k) beta^k."""
+    ring = ring_of(alpha)
+    a_pow, b_pow = [ring.one], [ring.one]
+    for _ in range(n):
+        a_pow.append(a_pow[-1] * alpha)
+        b_pow.append(b_pow[-1] * beta)
+    return Matrix(ring, [
+        [sum((comb(q, k) * comb(n - q, p - k) * a_pow[p - k] * b_pow[k]
+              for k in range(max(0, p - (n - q)), min(p, q) + 1)), ring.zero)
+         for q in range(n + 1)] for p in range(n + 1)])
+
+
+# each exact ring off the integers, with alpha = 0, beta = 0 and alpha = beta
+EXACT_POINTS = {
+    "rational": [(Fraction(2, 3), Fraction(-5, 7)), (Fraction(0), Fraction(3)),
+                 (Fraction(2, 3), Fraction(0)),
+                 (Fraction(2, 3), Fraction(2, 3))],
+    "gaussian": [(Gaussian(1, 1), Gaussian(0, 1)), (Gaussian(0), Gaussian(0, 1)),
+                 (Gaussian(1, 1), Gaussian(0)),
+                 (Gaussian(1, 1), Gaussian(1, 1))],
+    "root2": [(RootTwo(1, 1), RootTwo(Fraction(1, 2), -1)),
+              (RootTwo(0), RootTwo(0, 1)), (RootTwo(1, 1), RootTwo(0)),
+              (RootTwo(0, 1), RootTwo(0, 1))],
+    "poly2": [(ALPHA, BETA), (POLY2.zero, BETA), (ALPHA, POLY2.zero),
+              (ALPHA, ALPHA), (ALPHA + BETA, ALPHA - 2 * BETA)],
+}
+
+
+@pytest.mark.parametrize("ring", EXACT_POINTS)
+def test_exact_rings_match_the_term_by_term_sum(ring):
+    for alpha, beta in EXACT_POINTS[ring]:
+        for n in range(25):
+            k = generalized.k_general(n, alpha, beta)
+            assert k.ring.name == ring
+            assert k == term_by_term(n, alpha, beta), (alpha, beta, n)
 
 
 def test_alpha_beta_must_share_a_ring():
@@ -98,15 +138,43 @@ def test_phase_generic_is_complex_float():
 
 def test_generic_phase_at_high_order_matches_the_binomial_sum():
     # entry (p, q) = sum_k C(q, k) beta^k C(n-q, p-k), within 1e-9 C(n, p)
-    n, phi = 48, 0.7
+    phi = 0.7
     beta = cmath.exp(1j * phi)
-    k = generalized.k_phase(n, phi)
-    assert k.ring.name == "complex"
-    for p in range(n + 1):
-        for q in range(n + 1):
-            ref = sum(comb(q, j) * beta ** j * comb(n - q, p - j)
-                      for j in range(max(0, p - (n - q)), min(p, q) + 1))
-            assert abs(k[p, q] - ref) <= 1e-9 * comb(n, p), (p, q)
+    powers = [beta ** j for j in range(97)]
+    for n in (16, 48, 96):
+        k = generalized.k_phase(n, phi)
+        assert k.ring.name == "complex"
+        for p in range(n + 1):
+            for q in range(n + 1):
+                ref = sum(comb(q, j) * powers[j] * comb(n - q, p - j)
+                          for j in range(max(0, p - (n - q)), min(p, q) + 1))
+                assert abs(k[p, q] - ref) <= 1e-9 * comb(n, p), (n, p, q)
+
+
+@pytest.mark.parametrize("phi", [1e17, 2.0 ** 53, 1e308, -1e308])
+def test_huge_angles_are_not_quarter_turns(phi):
+    # phi / (pi/2) has no fractional bits left here; e^(i phi) is generic
+    beta = generalized.phase_beta(phi)
+    assert beta == cmath.exp(1j * phi)
+    assert min(abs(beta - unit) for unit in (1, 1j, -1, -1j)) > 0.1
+    assert generalized.k_phase(2, phi).ring.name == "complex"
+
+
+def test_quarter_turns_snap_to_exact_units():
+    for k, unit in enumerate([Gaussian(1), Gaussian(0, 1), Gaussian(-1),
+                              Gaussian(0, -1)] * 3):
+        assert generalized.phase_beta(k * math.pi / 2) == unit, k
+        assert generalized.phase_beta(-k * math.pi / 2) == unit.conj(), k
+    assert generalized.phase_beta(1000 * math.pi) == Gaussian(1)
+
+
+def test_cli_phase_at_a_huge_angle_is_complex(capsys):
+    assert cli.main(["gen", "phase", "--n", "2", "--phi", "1e308",
+                     "--format", "json"]) == 0
+    mat = Matrix.from_json(capsys.readouterr().out)
+    assert mat.ring.name == "complex"
+    assert mat == generalized.k_phase(2, 1e308)
+    assert mat[1, 1] == 1 + cmath.exp(1e308j)
 
 
 def test_snake_coordinates_columns():
