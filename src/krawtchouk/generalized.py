@@ -136,7 +136,7 @@ def trace_cells(k: Matrix, alpha, beta):
             for p in range(n) for q in range(n))
 
 
-def general_cross_check(n: int) -> CheckReport:
+def general_cross_check(n: int, built: dict | None = None) -> CheckReport:
     """The four cross identities of the symbolic (alpha, beta) family.
 
     With E(n,p,q) denoting the order-n entry (zero outside the index range):
@@ -145,11 +145,18 @@ def general_cross_check(n: int) -> CheckReport:
       (ii)  beta*E(n,p,q)  + E(n,p+1,q)   = E(n+1,p+1,q+1)
       (iii) E(n,p,q) - E(n,p,q+1)         = (alpha-beta)*E(n-1,p-1,q)
       (iv)  alpha*E(n,p,q+1) - beta*E(n,p,q) = (alpha-beta)*E(n-1,p,q)
+
+    ``built`` maps orders to symbolic matrices already built; the orders
+    n-1, n and n+1 it lacks are built and added to it, so a sweep over
+    consecutive orders that passes one dict builds each order once.
     """
     if n < 1:
         raise ValueError("cross identities need order >= 1")
-    entry = padded_entries({m: k_general_symbolic(m)
-                            for m in (n - 1, n, n + 1)}, POLY2.zero)
+    built = {} if built is None else built
+    for m in (n - 1, n, n + 1):
+        if m not in built:
+            built[m] = k_general_symbolic(m)
+    entry = padded_entries(built, POLY2.zero)
     return check_cells(cross_cells(entry, n, ALPHA, BETA), n=n)
 
 
@@ -181,7 +188,10 @@ def phase_beta(phi: float):
     The snap reads the distance from e^(i phi) to each unit, which
     ``cmath.exp`` computes accurately at every finite phi.  The quotient
     phi / (pi/2) would not do: above 2^53 or so it has no fractional bits
-    left, and every huge angle would look like a quarter turn.
+    left, and every huge angle would look like a quarter turn.  A float
+    k pi/2 carries the rounding of pi and of the product, so it snaps for
+    every |k| up to 5,230 but not for all beyond; ``cli.parse_phi`` drops
+    whole turns while the factor is exact, so 'N pi' snaps at any N.
     """
     beta = cmath.exp(1j * phi)
     for z, unit in _UNITS.items():

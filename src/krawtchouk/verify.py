@@ -28,7 +28,7 @@ from math import comb
 
 from . import core, gf2, generalized, hadamard, pathsum, quaternion, spectral, sympow
 from .matrix import CheckReport, Matrix, SuiteReport, check_cells, vector_cells
-from .rings import ALPHA, BETA, Gaussian, POLY2, ZZ
+from .rings import Gaussian, ZZ
 
 # part caps in SUITES on top of the user n_max: 2^n enumerations and
 # symbolic expansions get tighter limits so `verify --suites all` stays fast
@@ -80,15 +80,12 @@ def _oracles(orders, _rng):
 
 
 def _cross(orders, _rng):
-    # each symbolic order is built once for the sweep: the cross
-    # identities at n read the orders n-1, n and n+1
+    # the sweep builds each symbolic order once: the cross identities at n
+    # read the orders n-1, n and n+1, and no later order reads n-2
     built = {}
     for n in orders:
-        for m in (n - 1, n, n + 1):
-            if m not in built:
-                built[m] = generalized.k_general_symbolic(m)
-        entry = generalized.padded_entries(built, POLY2.zero)
-        yield check_cells(generalized.cross_cells(entry, n, ALPHA, BETA), n=n)
+        yield generalized.general_cross_check(n, built)
+        built.pop(n - 2, None)
         classical = generalized.specialize(built[n], 1, -1)
         yield check_cells(
             [("K(alpha, beta) at (1,-1) = K",

@@ -11,6 +11,7 @@ import pytest
 
 from krawtchouk import cli, core, generalized, gf2, hadamard, sympow
 from krawtchouk.matrix import Matrix
+from krawtchouk.rings import Gaussian
 
 REPORT_SCHEMA = {
     "type": "array",
@@ -319,8 +320,25 @@ def test_phi_parsing():
     assert cli.parse_phi("3pi/4") == pytest.approx(3 * math.pi / 4)
     assert cli.parse_phi("-pi/2") == -math.pi / 2
     assert cli.parse_phi("0.75") == 0.75
+    assert cli.parse_phi("3pi") == math.pi
+    assert cli.parse_phi("-4000pi") == 0.0
+    assert cli.parse_phi("7pi/2") == 1.5 * math.pi
     with pytest.raises(ValueError):
         cli.parse_phi("pi2pi")
+
+
+@pytest.mark.parametrize("text, beta", [
+    ("4000pi", Gaussian(1)), ("4001pi", Gaussian(-1)),
+    ("8001pi/2", Gaussian(0, 1)), ("-8001pi/2", Gaussian(0, -1)),
+    ("1e300pi", Gaussian(1)),
+])
+def test_multiples_of_pi_stay_exact_at_any_factor(capsys, text, beta):
+    # the float N * math.pi stops snapping near N = 2,600; the parser drops
+    # whole turns from the exact factor first
+    code, out, _ = run_cli(capsys, "gen", "phase", "--n", "2", "--phi", text,
+                           "--format", "json")
+    assert code == 0
+    assert Matrix.from_json(out) == generalized.k_general(2, Gaussian(1), beta)
 
 
 @pytest.mark.parametrize("text, why", [

@@ -168,6 +168,18 @@ def test_quarter_turns_snap_to_exact_units():
     assert generalized.phase_beta(1000 * math.pi) == Gaussian(1)
 
 
+def test_float_quarter_turns_snap_up_to_the_rounding_boundary():
+    # k pi/2 in floats carries the rounding of pi and of the product: every
+    # |k| up to 5,230 snaps, and 4000 pi (k = 8000) lands 1.3e-12 from 1,
+    # past the 1e-12 tolerance; cli.parse_phi keeps 'N pi' exact instead
+    units = [Gaussian(1), Gaussian(0, 1), Gaussian(-1), Gaussian(0, -1)]
+    for k in range(5231):
+        assert generalized.phase_beta(k * math.pi / 2) == units[k % 4], k
+        assert generalized.phase_beta(-k * math.pi / 2) == units[-k % 4], k
+    assert isinstance(generalized.phase_beta(4000 * math.pi), complex)
+    assert generalized.k_phase(2, cli.parse_phi("4000pi")).ring.name == "gaussian"
+
+
 def test_cli_phase_at_a_huge_angle_is_complex(capsys):
     assert cli.main(["gen", "phase", "--n", "2", "--phi", "1e308",
                      "--format", "json"]) == 0
