@@ -24,9 +24,10 @@ overflow error are those of the lane-by-lane loop, which is what runs at
 or below one leaf.
 
 The codec is shared arithmetic: :func:`krawtchouk.hadamard.reduce_to_symmetric`,
-:func:`krawtchouk.hadamard.k_pyramid`, :func:`krawtchouk.sympow.sym_group_power`
-and the integer products of :meth:`krawtchouk.matrix.Matrix.mul` each pack
-their own values, and
+:func:`krawtchouk.hadamard.k_pyramid`, :func:`krawtchouk.sympow.sym_group_power`,
+the integer products of :meth:`krawtchouk.matrix.Matrix.mul` and the word
+tallies of :func:`krawtchouk.pathsum.oracle_matrix` each pack their own
+values, and
 :func:`krawtchouk.sympow.sym_algebra_power_by_derivative` decodes lane 1, the
 t-coefficient, of a group power taken at t = 2^L.
 """

@@ -27,7 +27,11 @@ a path's weight depends only on r, its number of right steps in the
 window, and a subset's product only on how many of its members lie among
 the first q.  So each enumeration is a tally of small integers, and the
 ring arithmetic runs once per class of equal weight, not once per path:
-the sum over r of count_r * beta^r * alpha^(p-r).
+the sum over r of count_r * beta^r * alpha^(p-r).  The matrix oracle
+keeps its tallies in lanes of one packed int per position p and adds each
+word's whole tally, every column at once, with one big-int add: the word
+is split into a low and a high half, one table over the low halves gives
+their lanes, and each high half shifts those lanes and adds its own.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from collections import Counter
 from itertools import combinations, repeat
 from math import comb
 
+from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ring_of
 
@@ -105,6 +110,8 @@ def path_sum(n: int, p: int, q: int, alpha=1, beta=-1):
     """
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("p and q must lie in 0..n")
+    if ring_of(alpha) != ring_of(beta):
+        raise ValueError("alpha and beta must come from the same ring")
     require_enumerable(n, p)
     l_below = Counter(map(bisect_left, combinations(range(n), n - p),
                           repeat(q)))
@@ -118,29 +125,59 @@ def oracle_matrix(n: int, alpha=1, beta=-1) -> Matrix:
     """Full (n+1) x (n+1) matrix of path sums by one sweep over all 2^n words.
 
     Each word is tallied in every column at once, by its number p of right
-    steps and, per column q, the number r of them in the window; the sweep
-    costs O(2^n * n) integer increments, and the ring arithmetic runs once
-    per (p, q, r) class afterwards, so one bound serves every ring.
+    steps and, per column q, the number r of them in the window.  The sweep
+    splits each word into its low n // 2 bits and the rest, and adds the
+    word's whole tally to the packed int of its p with one big-int add
+    (see :func:`_tally`); the ring arithmetic runs once per (p, q, r) class
+    afterwards, so one bound serves every ring.
     """
-    ring = ring_of(alpha)
     if not 0 <= n <= ENUM_BOUND_NUMERIC:
         raise ValueError(f"order {n} is outside the 2^n enumeration bound "
                          f"0..{ENUM_BOUND_NUMERIC}")
-    # tally[p][s][r]: words with p right steps, r of them in word >> s, the
-    # window of the first q = n - s steps (bit n-1-i of the word is step i,
-    # L=0 < R=1: lexicographic order)
-    tally = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    for word in range(2 ** n):
-        window = word
-        for by_r in tally[word.bit_count()]:
-            by_r[window.bit_count()] += 1
-            window >>= 1
+    ring = ring_of(alpha)
+    if ring != ring_of(beta):
+        raise ValueError("alpha and beta must come from the same ring")
     cells = []
-    for p, by_window in enumerate(tally):
+    for p, by_window in enumerate(_tally(n)):
         weights = _class_weights(alpha, beta, p)
         cells.append([_weigh(by_window[n - q], weights, ring.zero)
                       for q in range(n + 1)])
     return Matrix(ring, cells)
+
+
+def _tally(n: int):
+    """Yield, for p = 0..n, by_window[s][r]: the words with p right steps,
+    r of them in word >> s.
+
+    Bit n-1-i of the word is step i (L=0 < R=1: lexicographic order), so
+    word >> s is the window of the first q = n - s steps.  Lane s(n+1) + r
+    of packed[p] counts those words, in lanes of ``lane_bits(2^n)`` bits.
+    A word splits into its low b = n // 2 bits and its high n - b bits.
+    For s < b, word >> s has the right steps of low >> s and all those of
+    the high half, so the lanes of one table entry per low half, shifted
+    up by popcount(high) lanes, are the word's lanes below shift b; for
+    s >= b the high half alone gives them.  Every word is still visited
+    and adds its own lanes.
+    """
+    bits = lane_bits(2 ** n)
+    row = n + 1
+    b = n // 2
+    low_table = [sum(1 << bits * (s * row + (low >> s).bit_count())
+                     for s in range(b)) for low in range(2 ** b)]
+    low_pops = [low.bit_count() for low in range(2 ** b)]
+    packed = [0] * row
+    for high in range(2 ** (n - b)):
+        high_pop = high.bit_count()
+        shift = bits * high_pop
+        high_lanes = sum(
+            1 << bits * (s * row + (high >> (s - b)).bit_count())
+            for s in range(b, row))
+        for low_lanes, low_pop in zip(low_table, low_pops):
+            packed[low_pop + high_pop] += (low_lanes << shift) + high_lanes
+    codec = Lanes(bits, row * row)
+    for total in packed:
+        counts = codec.unpack(total)
+        yield [counts[s:s + row] for s in range(0, row * row, row)]
 
 
 def _class_weights(alpha, beta, p: int) -> list:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -99,7 +100,11 @@ def test_oracle_matches_random_integer_pairs():
 
 def test_oracle_numeric_upper_bound_order():
     n = 16
+    i = Gaussian(0, 1)
     assert pathsum.oracle_matrix(n, 1, -1) == core.k_genfunc(n).mat
+    assert pathsum.oracle_matrix(n, 3, -2) == generalized.k_general(n, 3, -2)
+    assert (pathsum.oracle_matrix(n, Gaussian(1), i)
+            == generalized.k_general(n, Gaussian(1), i))
     assert (pathsum.oracle_matrix(n, ALPHA, BETA)
             == generalized.k_general_symbolic(n))
     for alpha, beta in ((1, -1), (ALPHA, BETA)):
@@ -108,6 +113,61 @@ def test_oracle_numeric_upper_bound_order():
                 pathsum.oracle_matrix(order, alpha, beta)
     with pytest.raises(TypeError):  # the refusal cannot be lifted
         pathsum.oracle_matrix(17, 1, -1, bound=17)
+
+
+def per_word_tally(n):
+    """tally[p][s][r] by one increment per word and window shift: the
+    oracle's sweep before it packed the tallies, kept as the reference."""
+    tally = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for word in range(2 ** n):
+        window = word
+        for by_r in tally[word.bit_count()]:
+            by_r[window.bit_count()] += 1
+            window >>= 1
+    return tally
+
+
+@pytest.mark.parametrize("n", [*range(13), 16])
+def test_packed_tally_is_the_per_word_tally(n):
+    tally = list(pathsum._tally(n))
+    assert tally == per_word_tally(n)
+    # every word is tallied once in each window
+    for s in range(n + 1):
+        assert sum(sum(by_window[s]) for by_window in tally) == 2 ** n, s
+
+
+def never_enumerate(*args):
+    raise AssertionError("enumerated before refusing the rings")
+
+
+MIXED_RINGS = [(1, Gaussian(0, 1)), (Gaussian(1), -1), (ALPHA, 1),
+               (Fraction(1, 2), 1)]
+
+
+@pytest.mark.parametrize("alpha, beta", MIXED_RINGS)
+def test_oracle_matrix_refuses_alpha_and_beta_from_different_rings(
+        monkeypatch, alpha, beta):
+    monkeypatch.setattr(pathsum, "_tally", never_enumerate)
+    with pytest.raises(ValueError, match="must come from the same ring"):
+        pathsum.oracle_matrix(3, alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta", MIXED_RINGS)
+def test_path_sum_refuses_alpha_and_beta_from_different_rings(
+        monkeypatch, alpha, beta):
+    monkeypatch.setattr(pathsum, "combinations", never_enumerate)
+    with pytest.raises(ValueError, match="must come from the same ring"):
+        pathsum.path_sum(3, 1, 1, alpha, beta)
+
+
+def test_oracles_refuse_a_float_as_k_general_does():
+    # a float is in no ring; the oracles returned an "integer" matrix of
+    # floats before
+    for call in (lambda: generalized.k_general(3, 1, 0.5),
+                 lambda: pathsum.oracle_matrix(3, 1, 0.5),
+                 lambda: pathsum.path_sum(3, 1, 1, 1, 0.5)):
+        with pytest.raises(TypeError, match="no ring registered for float"):
+            call()
 
 
 def test_oracle_phase_case():
@@ -183,6 +243,18 @@ def test_words_to_draws_its_first_word_without_listing_the_rest():
     assert first == "L" * 10 + "R" * 10
     # listing all C(20,10) = 184,756 position tuples first took ~24 MB
     assert peak < 2 ** 20, peak
+
+
+def test_oracle_matrix_sweeps_its_largest_order_in_little_memory():
+    tracemalloc.start()
+    try:
+        pathsum.oracle_matrix(pathsum.ENUM_BOUND_NUMERIC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one table over the low halves keeps the peak near 0.1 MB; a table
+    # per high popcount would take about 0.8 MB
+    assert peak < 2 ** 19, peak
 
 
 @pytest.mark.parametrize("alpha, beta", [

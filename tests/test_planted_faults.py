@@ -70,6 +70,14 @@ FAULTS = [
      {"construction-equivalence": [{"n": 7, "check": "twiston energy = K",
                                     "location": [2, 3], "lhs": "-1",
                                     "rhs": "-3"}]}),
+    # the path-sum oracle's K(7, 2, 3) = -3 + 2, and its K(i)[2, 3] =
+    # 3+12i + 2; the construction equivalence and the phase suite read it
+    (pathsum, "oracle_matrix", 7, (2, 3),
+     {"construction-equivalence": [{"n": 7, "check": "path sum = K",
+                                    "location": [2, 3], "lhs": "-1",
+                                    "rhs": "-3"}],
+      "phase": [{"n": 7, "check": "path sum = K(i)", "location": [2, 3],
+                 "lhs": "5+12i", "rhs": "3+12i"}]}),
     # K(alpha, beta)[2, 3] at order 7 gains 2 over every ring it is built
     # in; the cross identities tie order 7 to orders 6 and 8
     (generalized, "k_general", 7, (2, 3),
