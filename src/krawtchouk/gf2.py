@@ -13,16 +13,20 @@ The scaling constant 2^dim(W) = card(W) is forced: already for
 W = span{e1} in Z_2^2 one has K char(W) = 2 char(W-perp) while
 dim(W-perp) = 1, so a dimension factor cannot be right in general.
 
-A character counts every vector of W, in blocks: the 2^BLOCK combinations
-of the first BLOCK basis rows are built once, and the Gray-code walk of the
-remaining rows XORs each of its vectors over that block.  One MacWilliams
-check computes W-perp, both characters and K char(W) once, and checks the
+A character counts every vector of W, bit-sliced: the 2^BLOCK combinations
+of the first BLOCK basis rows are the bit positions of one big int per
+coordinate, and for each vector of the Gray-code walk of the remaining rows
+a ripple-carry adder sums those ints into the binary weight of every
+position at once; the popcount of the positions of each weight is its
+count.  No closed form and nothing of K enters, so the identity checks the
+Krawtchouk matrix against an independent count.  One MacWilliams check
+computes W-perp, both characters and K char(W) once, and checks the
 identities that share them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .core import k_reference
 from .matrix import CheckReport, check_cells, vector_cells
@@ -30,7 +34,7 @@ from .spectral import binomial_vector
 
 ENUM_BOUND = 24   # 2^dim enumeration
 CHECK_BOUND = 16  # ambient dimension for the MacWilliams check
-BLOCK = 10        # basis rows whose 2^BLOCK combinations a character reuses
+BLOCK = 12        # basis rows whose 2^BLOCK combinations are a plane's bits
 
 
 def vector_from_bits(bits: str) -> int:
@@ -99,9 +103,11 @@ class BinarySubspace(namedtuple("BinarySubspace", "n basis")):
 def subspace_from(vectors, n: int | None = None) -> BinarySubspace:
     """Build the span; accepts packed ints or '0101' strings."""
     packed = []
+    strings = []
     width = 0
     for vec in vectors:
         if isinstance(vec, str):
+            strings.append(vec)
             width = max(width, len(vec))
             packed.append(vector_from_bits(vec))
         else:
@@ -111,6 +117,9 @@ def subspace_from(vectors, n: int | None = None) -> BinarySubspace:
         n = width
     if n <= 0:
         raise ValueError("ambient dimension must be positive")
+    for bits in strings:
+        if len(bits) > n:
+            raise ValueError(f"bitstring {bits!r} is longer than n = {n}")
     return BinarySubspace(n, _rref(packed, n))
 
 
@@ -133,21 +142,54 @@ def complement(space: BinarySubspace) -> BinarySubspace:
 def weight_character(space: BinarySubspace) -> list:
     """counts[i] = number of vectors of the subspace of Hamming weight i.
 
-    The combinations of the first BLOCK basis rows are built once, by
-    doubling; each vector of the span of the other rows, in Gray-code order,
-    is XORed over that block, whose weights are tallied in one pass.  Every
-    vector is counted, and memory stays O(2^BLOCK).
+    Bit-sliced: the 2^BLOCK combinations of the first BLOCK basis rows are
+    the bit positions of one plane per coordinate, built once by doubling
+    (bit c of plane i is coordinate i of combination c).  For each vector
+    of the span of the other rows, in Gray-code order, the planes of its
+    set coordinates are complemented and all planes are added, position by
+    position, into binary digits by a ripple-carry adder; splitting the
+    positions by digit gives the mask of each weight, and its popcount is
+    that weight's count.  Every vector is still one position counted, and
+    memory stays O(n 2^BLOCK) bits.
     """
     if space.dim > ENUM_BOUND:
         raise ValueError(f"enumeration bound is dim <= {ENUM_BOUND}")
-    low = [0]
+    n = space.n
+    planes = [0] * n
+    width = 1
     for row in space.basis[:BLOCK]:
-        low += [row ^ v for v in low]
-    counts = Counter()
-    for high in BinarySubspace(space.n, space.basis[BLOCK:]).vectors():
-        block = [high ^ v for v in low] if high else low
-        counts.update(map(int.bit_count, block))
-    return [counts[w] for w in range(space.n + 1)]
+        ones = (1 << width) - 1
+        planes = [p | (p ^ ones if row >> i & 1 else p) << width
+                  for i, p in enumerate(planes)]
+        width <<= 1
+    full = (1 << width) - 1
+    # split by the top digit first: few weights reach it, so few masks split
+    top = range(n.bit_length() - 1, -1, -1)
+    counts = [0] * (n + 1)
+    for high in BinarySubspace(n, space.basis[BLOCK:]).vectors():
+        digits = [0] * n.bit_length()
+        for i, x in enumerate(planes):
+            if high >> i & 1:
+                x ^= full
+            k = 0
+            while x:
+                s = digits[k]
+                digits[k], x = s ^ x, s & x
+                k += 1
+        masks = [(0, full)]
+        for k in top:
+            digit = digits[k]
+            split = []
+            for w, mask in masks:
+                on = mask & digit
+                if on:
+                    split.append((w | 1 << k, on))
+                if on != mask:
+                    split.append((w, mask ^ on))
+            masks = split
+        for w, mask in masks:
+            counts[w] += mask.bit_count()
+    return counts
 
 
 MACWILLIAMS = "2^dim(W) char(W-perp) = K char(W)"

@@ -289,6 +289,16 @@ def test_macwilliams_command(capsys):
     assert "ok" in out
 
 
+def test_macwilliams_command_refuses_a_basis_wider_than_n(capsys):
+    code, out, err = run_cli(capsys, "macwilliams", "--n", "2",
+                             "--basis", "110")
+    assert (code, out) == (2, "")
+    assert "'110' is longer than n = 2" in err
+    code, out, err = run_cli(capsys, "macwilliams", "--n", "3",
+                             "--basis", "1101")
+    assert (code, out) == (2, "")
+
+
 def test_macwilliams_command_counts_each_character_once(monkeypatch, capsys):
     dims = []
     real = gf2.weight_character

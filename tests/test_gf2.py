@@ -1,6 +1,7 @@
 """Binary subspaces and the MacWilliams transform."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -26,6 +27,15 @@ def test_subspace_construction_and_dims():
         gf2.subspace_from([], None)
     with pytest.raises(ValueError):
         gf2.subspace_from([0b1000], 3)
+
+
+def test_a_bitstring_longer_than_n_is_refused():
+    # the extra coordinates are 0, so the packed vector would fit in n bits
+    with pytest.raises(ValueError, match="'110' is longer than n = 2"):
+        gf2.subspace_from(["110"], 2)
+    with pytest.raises(ValueError, match="'0000' is longer than n = 3"):
+        gf2.subspace_from(["100", "0000"], 3)
+    assert gf2.subspace_from(["110"], 4).basis == (0b011,)  # shorter is fine
 
 
 def test_rref_is_canonical():
@@ -109,19 +119,59 @@ def _subspace_of_dim(rng, n, dim):
     return gf2.subspace_from(vectors, n)
 
 
-@pytest.mark.parametrize("dim", range(17))
+def _tally(space):
+    """The per-vector count of the Gray-code walk over the whole space."""
+    tally = [0] * (space.n + 1)
+    for vec in space.vectors():
+        tally[vec.bit_count()] += 1
+    return tally
+
+
+@pytest.mark.parametrize("dim", range(gf2.BLOCK + 5))
 def test_blocked_character_is_the_tally_of_every_vector(dim):
-    # both sides of the block edge: the first BLOCK = 10 basis rows are
-    # combined once, the rest walked by Gray code
+    # both sides of the block edge: the first BLOCK basis rows are the bit
+    # positions of the planes, the rest walked by Gray code
     rng = random.Random(1000 + dim)
     for n in sorted({max(dim, 1), min(dim + 2, 18), 18}):
         space = _subspace_of_dim(rng, n, dim)
         counts = gf2.weight_character(space)
-        tally = [0] * (n + 1)
-        for vec in space.vectors():
-            tally[vec.bit_count()] += 1
-        assert counts == tally
+        assert counts == _tally(space)
         assert sum(counts) == 2 ** dim
+
+
+@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("dim", [0, 5, gf2.BLOCK + 2])
+def test_wide_character_is_the_tally_of_every_vector(n, dim):
+    # the block rows live on the low half of the coordinates and the rest
+    # on the high half, so the planes of the high half are all zero and
+    # only the Gray-code walk complements them
+    rng = random.Random(n * 100 + dim)
+    half = n // 2
+    low = _subspace_of_dim(rng, half, min(dim, gf2.BLOCK)).basis
+    high = [row << half for row in
+            _subspace_of_dim(rng, n - half, dim - len(low)).basis]
+    space = gf2.subspace_from(list(low) + high, n)
+    assert space.dim == dim
+    assert not any(row >> half for row in space.basis[:gf2.BLOCK])
+    assert not any(row & ((1 << half) - 1) for row in space.basis[gf2.BLOCK:])
+    assert gf2.weight_character(space) == _tally(space)
+    mixed = _subspace_of_dim(rng, n, dim)  # rows on every coordinate
+    assert gf2.weight_character(mixed) == _tally(mixed)
+
+
+def test_weight_character_counts_the_full_space_in_little_memory():
+    full = gf2.subspace_from([1 << i for i in range(16)], 16)
+    tracemalloc.start()
+    try:
+        counts = gf2.weight_character(full)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [comb(16, w) for w in range(17)]
+    # sixteen planes of 2^BLOCK bits and a few digit and mask ints of that
+    # width keep the peak near 23 KB; a list of the 2^BLOCK vectors of a
+    # block would take several times that
+    assert peak < 2 ** 16, peak
 
 
 def test_macwilliams_check_reports_the_checks_it_shares(monkeypatch):
