@@ -24,23 +24,31 @@ over all C(n,p) index subsets.
 
 Both oracles stay exhaustive: they visit every path and every subset.  But
 a path's weight depends only on r, its number of right steps in the
-window, and a subset's product only on how many of its members lie among
-the first q.  So each enumeration is a tally of small integers, and the
+window.  So each path enumeration is a tally of small integers, and the
 ring arithmetic runs once per class of equal weight, not once per path:
 the sum over r of count_r * beta^r * alpha^(p-r).  The matrix oracle
 keeps its tallies in lanes of one packed int per position p and adds each
 word's whole tally, every column at once, with one big-int add: the word
 is split into a low and a high half, one table over the low halves gives
 their lanes, and each high half shifts those lanes and adds its own.
+
+A subset's product is -1 exactly when an odd number of its members lie
+among the first q, so one sweep of the p-subsets gives the energy at
+every q at once: each subset adds +1 at its members of odd rank and -1 at
+those of even rank, and the prefix sums of those marks count, for each q,
+the subsets of product -1.  The row of n + 1 energies is kept per (n, p),
+since every caller asks for the whole row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations, repeat
+from functools import lru_cache
+from itertools import accumulate, combinations, repeat
 from math import comb
 
+from .core import DEFAULT_ORDER_BOUND
 from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ring_of
@@ -205,14 +213,38 @@ def twiston_energy(n: int, q: int, p: int) -> int:
     Energies are +1 (orientable) except for the first q particles at -1;
     the answer is the p-th elementary symmetric function of the energies,
     summed over all C(n,p) subsets.  The 0-energy is 1 by convention.
+    The first call at (n, p) sweeps the subsets once for every q (see
+    :func:`_twiston_row`); later calls at that (n, p) read the kept row.
+    Orders above ``DEFAULT_ORDER_BOUND`` are refused, since the row holds
+    n + 1 energies even where C(n,p) is small.
     """
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("p and q must lie in 0..n")
     require_enumerable(n, p)
-    # a subset's product is (-1)^(its members among the first q): tally the
-    # subsets by that count, then weigh each class once
-    below = Counter(map(bisect_left, combinations(range(n), p), repeat(q)))
-    return sum(count if k % 2 == 0 else -count for k, count in below.items())
+    if n > DEFAULT_ORDER_BOUND:
+        raise ValueError(f"order {n} exceeds the twiston row bound "
+                         f"{DEFAULT_ORDER_BOUND}")
+    return _twiston_row(n, p)[q]
+
+
+@lru_cache(maxsize=64)
+def _twiston_row(n: int, p: int) -> tuple:
+    """The energies E_0..E_n of the p-subsets of range(n), by one sweep.
+
+    A subset c_1 < ... < c_p has an odd number of members below q exactly
+    when q lies in (c_1, c_2] u (c_3, c_4] u ...  So marking +1 at each
+    member of odd rank and -1 at each of even rank, the prefix sum of the
+    marks below q counts the subsets of product -1, and E_q is the number
+    of subsets, counted by the sweep, less twice that.
+    """
+    marks = [0] * n
+    subsets = 0
+    for subsets, members in enumerate(combinations(range(n), p), 1):
+        for m in members[::2]:
+            marks[m] += 1
+        for m in members[1::2]:
+            marks[m] -= 1
+    return tuple(subsets - 2 * odd for odd in accumulate(marks, initial=0))
 
 
 def partition_check(n: int) -> CheckReport:

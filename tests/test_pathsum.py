@@ -11,6 +11,15 @@ from krawtchouk import core, generalized, pathsum
 from krawtchouk.rings import ALPHA, BETA, Gaussian, ring_of
 
 
+@pytest.fixture(autouse=True)
+def fresh_twiston_rows():
+    """No row kept by an earlier test hides an enumeration from a test that
+    patches ``combinations``."""
+    pathsum._twiston_row.cache_clear()
+    yield
+    pathsum._twiston_row.cache_clear()
+
+
 def test_path_weight_examples():
     assert pathsum.path_weight("RLRLLL", 4, 1, -1) == 1
     assert pathsum.path_weight("RLRLLL", 0, 1, -1) == 1
@@ -194,6 +203,46 @@ def test_twiston_equals_krawtchouk(n):
             assert pathsum.twiston_energy(n, q, p) == k[p, q]
 
 
+def test_twiston_at_the_benchmark_size():
+    for q in range(17):
+        assert pathsum.twiston_energy(16, q, 8) == core.k_entry(16, 8, q), q
+
+
+def test_a_row_of_twiston_energies_sweeps_its_subsets_once(monkeypatch):
+    drawn = []
+
+    def counted(*args):
+        for subset in combinations(*args):
+            drawn.append(subset)
+            yield subset
+
+    monkeypatch.setattr(pathsum, "combinations", counted)
+    n, p = 10, 4
+    pathsum.twiston_energy(n, 0, p)
+    first = len(drawn)
+    assert first == math.comb(n, p)
+    for q in range(n + 1):
+        pathsum.twiston_energy(n, q, p)
+    assert len(drawn) == first
+
+
+@pytest.mark.parametrize("n, p", [(10 ** 9, 0), (65, 0), (65, 1),
+                                  (65, 64), (65, 65)])
+def test_twiston_refuses_orders_above_the_row_bound(monkeypatch, n, p):
+    # C(n, p) is small here, but the row would hold n + 1 energies
+    monkeypatch.setattr(pathsum, "combinations", never_enumerate)
+    with pytest.raises(ValueError, match=f"order {n} exceeds the twiston "
+                                         "row bound 64"):
+        pathsum.twiston_energy(n, 0, p)
+
+
+def test_twiston_admits_the_row_bound():
+    n = core.DEFAULT_ORDER_BOUND
+    assert pathsum.twiston_energy(n, 5, 0) == 1
+    # one particle at a time: n - q at +1, q at -1
+    assert pathsum.twiston_energy(n, 5, 1) == n - 2 * 5
+
+
 def test_path_sum_cells_match_oracle():
     assert pathsum.path_sum(9, 4, 5, 1, -1) == core.k_entry(9, 4, 5)
     assert pathsum.path_sum(6, 2, 3, ALPHA, BETA) == \
@@ -255,6 +304,18 @@ def test_oracle_matrix_sweeps_its_largest_order_in_little_memory():
     # one table over the low halves keeps the peak near 0.1 MB; a table
     # per high popcount would take about 0.8 MB
     assert peak < 2 ** 19, peak
+
+
+def test_twiston_row_sweeps_its_subsets_in_little_memory():
+    tracemalloc.start()
+    try:
+        pathsum.twiston_energy(16, 0, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the sweep keeps one list of n marks; listing the C(16,8) = 12,870
+    # subsets first would take 1.45 MB
+    assert peak < 2 ** 15, peak
 
 
 @pytest.mark.parametrize("alpha, beta", [
