@@ -25,11 +25,15 @@ or below one leaf.
 
 The codec is shared arithmetic: :func:`krawtchouk.hadamard.reduce_to_symmetric`,
 :func:`krawtchouk.hadamard.k_pyramid`, :func:`krawtchouk.sympow.sym_group_power`,
-the integer products of :meth:`krawtchouk.matrix.Matrix.mul` and the word
-tallies of :func:`krawtchouk.pathsum.oracle_matrix` each pack their own
-values, and
-:func:`krawtchouk.sympow.sym_algebra_power_by_derivative` decodes lane 1, the
-t-coefficient, of a group power taken at t = 2^L.
+the word tallies of :func:`krawtchouk.pathsum.oracle_matrix` and the integer
+products of :meth:`krawtchouk.matrix.Matrix.mul` each pack their own values.
+A product packs only when its scaling factor has more nonzeros than there
+are rows to pack and rows to unpack, since the codec touches each of those
+rows once; with fewer, as for a diagonal, skew or tridiagonal factor, it
+adds plain rows and never meets the codec.
+:func:`krawtchouk.sympow.sym_algebra_power_by_derivative` reads lane 1, the
+t-coefficient, of a group power taken at t = 2^L by the width rule alone,
+without a ``Lanes``.
 """
 
 from __future__ import annotations

@@ -3,12 +3,16 @@
 Shapes are small by numerical-linear-algebra standards ((n+1) x (n+1) with
 n up to a few hundred, or 2^n x 2^n with n <= 10), so a matrix is a plain
 tuple of tuples of scalars and every operation is exact in every ring.
-The product has two paths, chosen by the ring alone:
+The product has two paths, chosen by the ring:
 
-* over ``ZZ`` the rows of B or the columns of A, whichever takes fewer
-  big-int multiply-adds, are packed into one int each by the lane codec
-  of :mod:`krawtchouk.lanes`, so row i of AB costs one multiply-add per
-  nonzero a_ik, or column j one per nonzero b_kj;
+* over ``ZZ`` row i of AB is sum_k a_ik row_k(B), or column j is
+  sum_k b_kj col_k(A), whichever takes fewer multiply-adds.  When
+  the factor whose entries scale has few nonzeros (diagonal, skew,
+  tridiagonal), the scaled rows are added as plain lists of ints;
+  otherwise each is packed into one int by the lane codec of
+  :mod:`krawtchouk.lanes`, so that one big-int multiply-add does a whole
+  row.  A count of entries touched picks the route (see
+  :meth:`Matrix.mul`), not a tuned threshold;
 * over every other ring each cell sums over the nonzero positions of the
   sparser of its row and column, so diagonal, banded and skew factors
   stay O(n^2).
@@ -22,10 +26,23 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from itertools import chain, product
+from itertools import chain, product, repeat
 
 from .lanes import Lanes, lane_bits
 from .rings import CC, Ring, RINGS, ZZ, ring_of
+
+
+def _plain_row(row, b) -> list:
+    """sum_k row[k] b[k] over the nonzero row[k], on plain lists of ints."""
+    terms = [(x, b_row) for x, b_row in zip(row, b) if x]
+    if not terms:
+        return [0] * len(b[0])
+    x, b_row = terms[0]
+    out = list(map(operator.mul, repeat(x), b_row))
+    for x, b_row in terms[1:]:
+        out = list(map(operator.add, out,
+                       map(operator.mul, repeat(x), b_row)))
+    return out
 
 
 class Matrix:
@@ -105,17 +122,22 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         """Exact product.
 
-        Over ``ZZ``, row i of AB is sum_k a_ik row_k(B) with every row of B
-        packed into one int (:mod:`krawtchouk.lanes`): one big-int
-        multiply-add on cols(B) lanes per nonzero a_ik, since adding even a
-        zero term copies the row-wide int.  Its lanes hold the largest row
-        abs-sum of A times the largest |b|, which bounds every |(AB)_ij|.
-        When nnz(B) rows(A) < nnz(A) cols(B), the product is (B^T A^T)^T
+        Over ``ZZ``, row i of AB is sum_k a_ik row_k(B), one multiply-add
+        on a row of cols(B) entries per nonzero a_ik.  When
+        nnz(B) rows(A) < nnz(A) cols(B), the product is (B^T A^T)^T
         instead: column j of AB is sum_k b_kj col_k(A), one multiply-add on
-        rows(A) lanes per nonzero b_kj, with lanes that hold the largest
-        column abs-sum of B times the largest |a|.  So a diagonal, skew or
-        triangular right factor costs its own nonzeros, not those of a
-        dense left factor.  Over every other ring each cell sums over the
+        rows(A) entries per nonzero b_kj.  Call the factor whose entries
+        scale (A, or B^T after the flip) a and the one whose rows are
+        added b.  If nnz(a) <= rows(a) + rows(b), the rows of b are added
+        as plain lists of ints: nnz(a) cols(b) element multiply-adds.
+        Otherwise every row of b is packed into one int
+        (:mod:`krawtchouk.lanes`), one big-int multiply-add per nonzero of
+        a, and the result rows are unpacked: (rows(a) + rows(b)) cols(b)
+        lane writes and reads, against which the multiply-adds are cheap.
+        The lanes hold the largest row abs-sum of a times the largest |b|,
+        which bounds every entry of the result.  So a diagonal, skew or
+        tridiagonal factor costs O(n^2) plain operations, and two dense
+        factors pack.  Over every other ring each cell sums over the
         nonzero positions of the sparser of its row of A and its column of
         B, so diagonal, banded and skew factors cost O(n^2) and dense
         factors O(n^3).
@@ -140,25 +162,28 @@ class Matrix:
         return Matrix(self.ring, out)
 
     def _packed_mul(self, other: "Matrix") -> "Matrix":
-        """Integer product with the rows of ``other`` packed into lanes, or
-        the columns of ``self`` when that takes fewer multiply-adds."""
+        """Integer product by the rows of ``other``, or by the columns of
+        ``self`` when that takes fewer multiply-adds, each added as a plain
+        list or packed into lanes, whichever touches fewer entries."""
         a, b = self.data, other.data
-        zeros_b = sum(row.count(0) for row in b)
-        # the rows of AB cost nnz(A) multiply-adds on cols(B)-lane ints, its
-        # columns, as the rows of B^T A^T, nnz(B) on rows(A)-lane ints; with
-        # no zero in B, nnz(A) cols(B) <= nnz(B) rows(A), so A is counted
-        # only when B has a zero
-        flip = zeros_b > 0 and (
-            (self.rows * self.cols - sum(row.count(0) for row in a))
-            * other.cols > (other.rows * other.cols - zeros_b) * self.rows)
+        nnz_a = self.rows * self.cols - sum(row.count(0) for row in a)
+        nnz_b = other.rows * other.cols - sum(row.count(0) for row in b)
+        # the rows of AB cost nnz(A) multiply-adds on cols(B) entries, its
+        # columns, as the rows of B^T A^T, nnz(B) on rows(A) entries
+        flip = nnz_b * self.rows < nnz_a * other.cols
         if flip:
-            a, b = tuple(zip(*b)), tuple(zip(*a))
-        bound = (max(sum(map(abs, row)) for row in a)
-                 * max(max(map(abs, row)) for row in b))
-        lanes = Lanes(lane_bits(bound), len(b[0]))
-        packed = [lanes.pack(row) for row in b]
-        out = [lanes.unpack(sum([x * p for x, p in zip(row, packed) if x]))
-               for row in a]
+            a, b, nnz_a = tuple(zip(*b)), tuple(zip(*a)), nnz_b
+        # packing writes a lane per entry of b and unpacking reads one per
+        # entry of the result; plain rows touch nnz(a) entries per column
+        if nnz_a <= len(a) + len(b):
+            out = [_plain_row(row, b) for row in a]
+        else:
+            bound = (max(sum(map(abs, row)) for row in a)
+                     * max(max(map(abs, row)) for row in b))
+            lanes = Lanes(lane_bits(bound), len(b[0]))
+            packed = [lanes.pack(row) for row in b]
+            out = [lanes.unpack(sum([x * p for x, p in zip(row, packed) if x]))
+                   for row in a]
         return Matrix(ZZ, zip(*out) if flip else out)
 
     __matmul__ = mul

@@ -73,6 +73,17 @@ def require_enumerable(n: int, p: int) -> None:
                              f"{WORD_BOUND}")
 
 
+def require_order(n: int, what: str) -> None:
+    """Refuse an order above ``DEFAULT_ORDER_BOUND``, before allocating.
+
+    Every word or subset of n holds up to n positions, and a twiston row
+    n + 1 energies, so a small C(n,p) alone does not bound the work.
+    """
+    if n > DEFAULT_ORDER_BOUND:
+        raise ValueError(f"order {n} exceeds the {what} bound "
+                         f"{DEFAULT_ORDER_BOUND}")
+
+
 def path_weight(word: str, q: int, alpha, beta):
     """Weight of one path: beta per R in the first q steps, alpha per R after."""
     if not 0 <= q <= len(word):
@@ -91,12 +102,13 @@ def words_to(n: int, p: int):
 
     Words compare with L < R, so drawing the n-p positions of L in the
     lex order that ``combinations`` yields gives the words in order, one
-    at a time.  The bound is checked when called, not when the first word
-    is drawn.
+    at a time.  The bounds are checked when called, not when the first
+    word is drawn.
     """
     if not 0 <= p <= n:
         raise ValueError(f"p = {p} is outside 0..{n}")
     require_enumerable(n, p)
+    require_order(n, "path word")
     return (_word(n, positions)
             for positions in combinations(range(n), n - p))
 
@@ -114,13 +126,16 @@ def path_sum(n: int, p: int, q: int, alpha=1, beta=-1):
     Every path is tallied by r, its right steps in the window, then
     weighed.  A path is the tuple of its n-p positions of L, drawn in the
     order of ``words_to``; ``bisect_left`` counts those below q, so the
-    path has r = q - that count right steps in the window.
+    path has r = q - that count right steps in the window.  Orders above
+    ``DEFAULT_ORDER_BOUND`` are refused, since each path copies n - p
+    positions even where C(n,p) is small.
     """
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("p and q must lie in 0..n")
     if ring_of(alpha) != ring_of(beta):
         raise ValueError("alpha and beta must come from the same ring")
     require_enumerable(n, p)
+    require_order(n, "path sum")
     l_below = Counter(map(bisect_left, combinations(range(n), n - p),
                           repeat(q)))
     by_r = [0] * (p + 1)
@@ -221,9 +236,7 @@ def twiston_energy(n: int, q: int, p: int) -> int:
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("p and q must lie in 0..n")
     require_enumerable(n, p)
-    if n > DEFAULT_ORDER_BOUND:
-        raise ValueError(f"order {n} exceeds the twiston row bound "
-                         f"{DEFAULT_ORDER_BOUND}")
+    require_order(n, "twiston row")
     return _twiston_row(n, p)[q]
 
 

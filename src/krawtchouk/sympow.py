@@ -158,22 +158,28 @@ def sym_algebra_power_by_derivative(a: Matrix, n: int) -> Matrix:
     polynomial in t of degree <= n, each coefficient at most m^n in size,
     with m = 1 + the larger column abs-sum of A.  So the group power is
     taken once over ``ZZ`` at t = 2^L, L = ``lane_bits(m^n)``, and lane 1
-    of each entry, decoded by :class:`krawtchouk.lanes.Lanes`, is its exact
-    t-coefficient: a derivative, no limits involved.  n + 2 lanes leave
-    a lane 1 at n = 0.
+    of each entry in the codec of :mod:`krawtchouk.lanes` is its exact
+    t-coefficient: a derivative, no limits involved.  Lane 1 is read
+    alone, as (((x + bias) >> L) & mask) - offset with
+    bias = offset (1 + 2^L): the bias lifts the balanced digits of lanes 0
+    and 1 into [0, 2^L), so nothing carries into lane 1 from below, and
+    the lanes above it, whatever their sign, only touch bits 2L and up.
     """
     _need_2x2(a)
     if a.ring != ZZ:
         raise ValueError(f"the derivative route needs an integer matrix, "
                          f"got {a.ring.name}")
     m = 1 + max(abs(a[0, 0]) + abs(a[1, 0]), abs(a[0, 1]) + abs(a[1, 1]))
-    lanes = Lanes(lane_bits(m ** n), n + 2)
-    t = 1 << lanes.bits
+    bits = lane_bits(m ** n)
+    t = 1 << bits
+    mask, offset = t - 1, t >> 1
+    bias = offset * (1 + t)
     curve = Matrix(ZZ, [
         [1 + t * a[0, 0], t * a[0, 1]],
         [t * a[1, 0], 1 + t * a[1, 1]],
     ])
-    return sym_group_power(curve, n).map(lambda x: lanes.unpack(x)[1])
+    return sym_group_power(curve, n).map(
+        lambda x: (((x + bias) >> bits) & mask) - offset)
 
 
 def require_kron_order(n: int) -> None:

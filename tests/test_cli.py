@@ -195,6 +195,13 @@ def test_pathsum_command_refuses_above_word_bound(capsys):
     assert "enumeration bound" in err
 
 
+def test_pathsum_command_refuses_above_the_order_bound(capsys):
+    code, out, err = run_cli(capsys, "pathsum", "--n", "65", "--p", "1",
+                             "--q", "2")
+    assert code == 2 and out == ""
+    assert err == "order 65 exceeds the path sum bound 64\n"
+
+
 def test_transform_command(capsys):
     code, out, _ = run_cli(capsys, "transform", "--n", "3",
                            "--covector", "8,4,2,1")

@@ -114,6 +114,25 @@ def test_trace_identity_classical_block():
         assert generalized.trace_identity_check(n, 1, -1)
 
 
+def test_trace_identity_scans_cells_only_on_a_mismatch(monkeypatch):
+    scans = []
+    real_cells, real_k = generalized.trace_cells, generalized.k_general
+    monkeypatch.setattr(generalized, "trace_cells", lambda k, a, b: (
+        scans.append(k.shape) or real_cells(k, a, b)))
+    assert generalized.trace_identity_check(12, 1, -1)
+    assert generalized.trace_identity_check(5)
+    assert scans == []
+    # +2 in cell (4, 3) breaks the blocks at (3, 2), (3, 3), (4, 2), (4, 3)
+    bad = [list(row) for row in real_k(7, 3, -2).data]
+    bad[4][3] += 2
+    monkeypatch.setattr(generalized, "k_general",
+                        lambda n, alpha, beta: Matrix.from_rows(bad))
+    report = generalized.trace_identity_check(7, 3, -2)
+    assert scans == [(8, 8)]
+    assert not report and report.location == (3, 2)
+    assert report.note == "trace identity"
+
+
 def test_phase_tables_quarter_turn():
     for n, table in PHASE_I.items():
         assert generalized.k_phase(n, math.pi / 2) == Matrix(GAUSS, table)

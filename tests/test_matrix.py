@@ -379,7 +379,9 @@ def test_every_integer_product_is_packed(monkeypatch):
     assert len(calls) == len(products)
 
 
-def test_a_product_packs_the_factor_with_fewer_multiply_adds(monkeypatch):
+def spy_packed_rows(monkeypatch):
+    """The rows that integer products pack, listed as ``matrix.Lanes``
+    packs them."""
     packed = []
 
     class Spy(matrix.Lanes):
@@ -389,36 +391,86 @@ def test_a_product_packs_the_factor_with_fewer_multiply_adds(monkeypatch):
             packed.append(tuple(values))
             return super().pack(values)
 
+    monkeypatch.setattr(matrix, "Lanes", Spy)
+    return packed
+
+
+def test_a_product_packs_the_factor_with_fewer_multiply_adds(monkeypatch):
+    packed = spy_packed_rows(monkeypatch)
+
     def packed_rows(a, b):
         packed.clear()
         assert a @ b == naive_product(a, b)
         return packed
 
-    monkeypatch.setattr(matrix, "Lanes", Spy)
     n = 12
     k = core.k_reference(n)
     b = spectral.binomial_matrix(n)
-    # K Lambda and B D: one multiply-add per nonzero of the diagonal or
-    # skew factor, on the packed columns of K and of B
-    assert packed_rows(k, core.lambda_matrix(n)) == list(zip(*k.data))
-    assert packed_rows(b, spectral.skew_power_matrix(n)) == \
-        list(zip(*b.data))
-    # M K and K K: the rows of K, since M has fewer nonzeros than K and
-    # a tie keeps the rows of the right factor
-    assert packed_rows(core.kac_matrix(n), k) == list(k.data)
+    # K Lambda, B D and M K: a diagonal, skew or tridiagonal factor scales
+    # at most rows(a) + rows(b) rows, which are added as plain lists
+    assert packed_rows(k, core.lambda_matrix(n)) == []
+    assert packed_rows(b, spectral.skew_power_matrix(n)) == []
+    assert packed_rows(core.kac_matrix(n), k) == []
+    # K K: the rows of K, since a tie keeps the rows of the right factor
     assert packed_rows(k, k) == list(k.data)
-    # a wide sparse right factor: 2 lanes of columns of A, not 7 of rows of B
-    wide = Matrix(ZZ, [[1, 2, 3], [4, 5, 6]])
-    sparse = Matrix(ZZ, [[0, 0, 0, 0, 0, 0, 7], [0] * 7,
-                         [0, 8, 0, 0, 0, 0, 0]])
+    # a wide right factor with 2 nonzeros a row: 2 lanes of columns of A,
+    # not 7 of rows of B, and its 18 nonzeros are more than 7 + 9 rows
+    wide = Matrix(ZZ, [list(range(1, 10)), list(range(9, 0, -1))])
+    sparse = Matrix(ZZ, [[i + 1 if j in (i % 7, (i + 3) % 7) else 0
+                          for j in range(7)] for i in range(9)])
     assert packed_rows(wide, sparse) == list(zip(*wide.data))
 
 
+def edge_factors(rng, rows, cols, nonzeros):
+    """A factor with ``nonzeros`` entries of size up to 10^30 at random
+    positions, and zeros elsewhere."""
+    big = 10 ** 30
+    cells = set(rng.sample(range(rows * cols), nonzeros))
+    return Matrix(ZZ, [[(rng.randint(-big, big) or big)
+                        if i * cols + j in cells else 0 for j in range(cols)]
+                       for i in range(rows)])
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_plain_rows_up_to_rows_a_plus_rows_b_nonzeros(monkeypatch, delta):
+    # a product scales rows(a) + rows(b) or fewer rows as plain lists and
+    # packs above that, in either orientation
+    packed = spy_packed_rows(monkeypatch)
+    rng = random.Random(3131 + delta)
+    # the rows of B: a = A (3 rows) scales b = B (5 rows)
+    rows_of_b = (edge_factors(rng, 3, 5, 3 + 5 + delta),
+                 edge_factors(rng, 5, 4, 20))
+    # the columns of A: a = B^T (4 rows) scales b = A^T (5 rows)
+    cols_of_a = (edge_factors(rng, 3, 5, 15),
+                 edge_factors(rng, 5, 4, 4 + 5 + delta))
+    for (a, b), lanes in ((rows_of_b, 4), (cols_of_a, 3)):
+        packed.clear()
+        product = a @ b
+        assert product == naive_product(a, b)
+        assert all(type(x) is int for row in product.data for x in row)
+        assert [len(row) for row in packed] == ([lanes] * 5 if delta > 0
+                                                else [])
+
+
+def test_an_all_zero_factor_packs_no_lanes(monkeypatch):
+    def no_lanes(bits, count):
+        raise AssertionError(f"packed {count} lanes of {bits} bits")
+
+    monkeypatch.setattr(matrix, "Lanes", no_lanes)
+    full = Matrix(ZZ, [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 0, 1]])
+    for a, b in [(Matrix.zeros(4, 4), full), (full, Matrix.zeros(3, 5)),
+                 (Matrix.zeros(2, 4), Matrix.zeros(4, 3))]:
+        product = a @ b
+        assert product == Matrix.zeros(a.rows, b.cols)
+        assert all(type(x) is int for row in product.data for x in row)
+
+
 def test_packed_product_asserts_its_lanes_hold(monkeypatch):
-    # every entry of A B is 14, the bound (row abs-sum 2) x (max |b| 7)
-    a = Matrix(ZZ, [[1, 1], [1, 1]])
-    b = Matrix(ZZ, [[7, 7], [7, 7]])
-    assert a @ b == Matrix(ZZ, [[14, 14], [14, 14]])
+    # 9 nonzeros in A are more than 3 + 3 rows, so the rows of B pack;
+    # every entry of A B is 21, the bound (row abs-sum 3) x (max |b| 7)
+    a = Matrix(ZZ, [[1, 1, 1]] * 3)
+    b = Matrix(ZZ, [[7, 7, 7]] * 3)
+    assert a @ b == Matrix(ZZ, [[21, 21, 21]] * 3)
     monkeypatch.setattr(matrix, "lane_bits", lambda bound: bound.bit_length())
     with pytest.raises(AssertionError, match="overflowed"):
         a @ b

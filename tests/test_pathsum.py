@@ -243,6 +243,29 @@ def test_twiston_admits_the_row_bound():
     assert pathsum.twiston_energy(n, 5, 1) == n - 2 * 5
 
 
+@pytest.mark.parametrize("n, p", [(10 ** 9, 0), (10 ** 9, 10 ** 9),
+                                  (65, 0), (65, 1), (65, 64), (65, 65)])
+def test_path_sums_refuse_orders_above_the_order_bound(monkeypatch, n, p):
+    # C(n, p) is small here, but each path would copy n - p positions
+    monkeypatch.setattr(pathsum, "combinations", never_enumerate)
+    with pytest.raises(ValueError, match=f"order {n} exceeds the path sum "
+                                         "bound 64"):
+        pathsum.path_sum(n, p, 0)
+    with pytest.raises(ValueError, match=f"order {n} exceeds the path word "
+                                         "bound 64"):
+        pathsum.words_to(n, p)
+
+
+def test_path_sums_admit_the_order_bound():
+    n = core.DEFAULT_ORDER_BOUND
+    assert pathsum.path_sum(n, 1, 5) == core.k_entry(n, 1, 5)
+    # t^(n-1) in (1 + 2t)^(n-5) (1 + 3t)^5: leave out one factor's 1
+    assert pathsum.path_sum(n, n - 1, 5, 2, 3) == \
+        (n - 5) * 2 ** (n - 6) * 3 ** 5 + 5 * 2 ** (n - 5) * 3 ** 4
+    words = list(pathsum.words_to(n, n))
+    assert words == ["R" * n]
+
+
 def test_path_sum_cells_match_oracle():
     assert pathsum.path_sum(9, 4, 5, 1, -1) == core.k_entry(9, 4, 5)
     assert pathsum.path_sum(6, 2, 3, ALPHA, BETA) == \
