@@ -38,6 +38,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 
+from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells
 from .rings import QQ, ZZ
 
@@ -234,10 +235,53 @@ def master_check(n: int) -> CheckReport:
 
 
 def involution_check(n: int) -> CheckReport:
-    """K^2 = 2^n I, exactly."""
+    """K^2 = 2^n I, exactly.
+
+    When the reference has both reversals of
+    :func:`symmetry_identities_check`, K K is squared from a quarter of its
+    multiply-adds (:func:`_square_by_reversals`); otherwise it is the
+    generic product ``k @ k``.  Both give the same matrix, so the report,
+    its cell and its two sides do not depend on the route.
+    """
     k = k_reference(n)
     target = Matrix.identity(n + 1, ZZ).scale(2 ** n)
-    return check_cells([("K^2 = 2^n I", (k @ k).cells(target))], n=n)
+    square = _square_by_reversals(k) if symmetry_identities_check(n) else k @ k
+    return check_cells([("K^2 = 2^n I", square.cells(target))], n=n)
+
+
+def _square_by_reversals(k: Matrix) -> Matrix:
+    """K K for an integer K with K[n-p][q] = (-1)^q K[p][q] and
+    K[p][n-q] = (-1)^p K[p][q], from rows and columns 0..n//2.
+
+    Lanes 0..n//2 of every row of K are packed into one int by the codec
+    of :mod:`krawtchouk.lanes`.  For i <= n//2 let E and O be the sums of
+    K[i][k] times packed row k over even and odd k; the row reversal
+    makes K[n-i][k] = (-1)^k K[i][k], so E + O and E - O pack columns
+    0..n//2 of rows i and n-i of K K.  Both reversals give
+    (K K)[i][n-j] = (K K)[n-i][j], and so (K K)[n-i][n-j] = (K K)[i][j],
+    which fill in the other columns.  That is (n//2 + 1) (n + 1) big-int
+    multiply-adds on n//2 + 1 lanes, about a quarter of the generic
+    product's.  The lanes hold the largest row abs-sum of K times its
+    largest |entry|, the bound of :meth:`krawtchouk.matrix.Matrix.mul`.
+    """
+    n = k.rows - 1
+    half = n // 2
+    rows = k.data
+    bound = (max(sum(map(abs, row)) for row in rows)
+             * max(max(map(abs, row)) for row in rows))
+    lanes = Lanes(lane_bits(bound), half + 1)
+    packed = [lanes.pack(row[:half + 1]) for row in rows]
+    evens, odds = packed[0::2], packed[1::2]
+    top, bottom = [], []
+    for row in rows[:half + 1]:
+        even = sum([x * p for x, p in zip(row[0::2], evens) if x])
+        odd = sum([x * p for x, p in zip(row[1::2], odds) if x])
+        # columns 0..n//2 of rows i and n-i
+        lo, hi = lanes.unpack(even + odd), lanes.unpack(even - odd)
+        top.append(lo + hi[:n - half][::-1])
+        bottom.append(hi + lo[:n - half][::-1])
+    # rows n//2+1..n are rows n-i for i = n - n//2 - 1 down to 0
+    return Matrix(ZZ, top + bottom[:n - half][::-1])
 
 
 def ortho_check(n: int) -> CheckReport:
@@ -292,7 +336,8 @@ def symmetry_identities_check(n: int) -> CheckReport:
     """K_{pq} = (-1)^q K_{n-p,q} and K_{pq} = (-1)^p K_{p,n-q}.
 
     The same two reversals as :func:`krawtchouk.sympow.symmetry_check`,
-    cell by cell; no ``verify`` suite runs this one.
+    cell by cell.  No ``verify`` suite runs this one on its own;
+    :func:`involution_check` reads it as the gate of its quarter square.
     """
     k = k_reference(n)
     signs = [(-1) ** i for i in range(n + 1)]

@@ -137,6 +137,23 @@ def trace_cells(k: Matrix, alpha, beta):
             for p in range(n) for q in range(n))
 
 
+def trace_identity_cells(k: Matrix, alpha, beta):
+    """The trace identity's cells of :func:`trace_cells`, scanned only when
+    some pair of adjacent rows breaks it.
+
+    Each pair of adjacent rows is compared whole, beta*upper[:-1] + lower
+    against alpha*upper[1:] + lower[1:], in one pass.  When every pair
+    holds there are no cells; otherwise the blocks are scanned, so a
+    failure names its first cell.  Both compare with ``!=``.
+    """
+    for upper, lower in zip(k.data, k.data[1:]):
+        lhs = map(add, map(mul, repeat(beta), upper[:-1]), lower)
+        rhs = map(add, map(mul, repeat(alpha), upper[1:]), lower[1:])
+        if any(map(ne, lhs, rhs)):
+            return trace_cells(k, alpha, beta)
+    return []
+
+
 def general_cross_check(n: int, built: dict | None = None) -> CheckReport:
     """The four cross identities of the symbolic (alpha, beta) family.
 
@@ -166,22 +183,14 @@ def trace_identity_check(n: int, alpha=ALPHA, beta=BETA) -> CheckReport:
 
     Equivalently Tr([[beta, 1], [-alpha, -1]] @ block) = 0.  At the classical
     point (1,-1) this says the lower-left entry is the sum of the other
-    three.
-
-    Adjacent rows are compared whole, each pair in one pass; only when a
-    pair differs are the blocks scanned through :func:`trace_cells`, so a
-    failure names its first cell.  Both compare with ``!=``.
+    three.  The cells come from :func:`trace_identity_cells`, which
+    compares adjacent rows whole and scans blocks only on a mismatch.
     """
     if n < 1:
         raise ValueError("trace identity needs order >= 1")
     k = k_general(n, alpha, beta)
-    for upper, lower in zip(k.data, k.data[1:]):
-        lhs = map(add, map(mul, repeat(beta), upper[:-1]), lower)
-        rhs = map(add, map(mul, repeat(alpha), upper[1:]), lower[1:])
-        if any(map(ne, lhs, rhs)):
-            cells = trace_cells(k, alpha, beta)
-            return check_cells([("trace identity", cells)], n=n)
-    return CheckReport(True, n=n)
+    return check_cells(
+        [("trace identity", trace_identity_cells(k, alpha, beta))], n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from math import comb
 from operator import add, neg, sub
 
 from .core import KrawtchoukMatrix, genfunc_column, k_entry, k_reference
-from .generalized import cross_cells, padded_entries, trace_cells
+from .generalized import cross_cells, padded_entries, trace_identity_cells
 from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells
 from .rings import ZZ
@@ -147,27 +147,32 @@ def k_pyramid(n: int) -> KrawtchoukMatrix:
 
     By induction from the apex, column q of level m is S^q P^(m-q) [1], and
     P and S commute.  Negating the odd entries swaps P and S, which gives
-    the column reflection K[p][m-q] = (-1)^p K[p][q].  So level m keeps
-    only columns 0..m//2, each at full height and packed into one int by
-    the codec of :mod:`krawtchouk.lanes`: entry i sits in lane i, so P is
-    c + (c << L) and S is c - (c << L), exact integer identities that cost
-    one shift and one add per kept column, not one addition per entry.
-    The lanes are L = lane_bits(2^n) bits wide, because every entry of
-    level m <= n is at most C(m, p) <= 2^m in size (Vandermonde: |K[p][q]|
-    <= sum_k C(q, k) C(m-q, p-k) = C(m, p)); the width is a bound, so
-    still no binomial is computed.  Each of the n//2 + 1 columns of level
-    n is unpacked once into n + 1 entries (the decode raises only on a
-    carry out of the top lane), and the other columns follow by the
-    column reflection.
+    the column reflection K[p][m-q] = (-1)^p K[p][q].  So level n needs
+    only columns 0..n//2.  Column q of level m feeds column q + 1 of level
+    m + 1 through S, and column 0 also feeds column 0 through P, so column
+    q of level m reaches only column q + n - m of level n (and column 0
+    reaches column 0).  Level m therefore keeps column 0 and the columns
+    q <= m - ceil(n/2), none of them above m//2.  Each is at full height
+    and packed into one int by the codec of :mod:`krawtchouk.lanes`:
+    entry i sits in lane i, so P is c + (c << L) and S is c - (c << L),
+    exact integer identities that cost one shift and one add per kept
+    column, not one addition per entry.  The lanes are L = lane_bits(2^n)
+    bits wide, because every entry of level m <= n is at most
+    C(m, p) <= 2^m in size (Vandermonde: |K[p][q]| <= sum_k C(q, k)
+    C(m-q, p-k) = C(m, p)); the width is a bound, so still no binomial is
+    computed.  Each of the n//2 + 1 columns of level n is unpacked once
+    into n + 1 entries (the decode raises only on a carry out of the top
+    lane), and the other columns follow by the column reflection.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     lanes = Lanes(lane_bits(1 << n), n + 1)
     bits = lanes.bits
+    reach = n - n // 2  # ceil(n/2)
     cols = [1]
     for m in range(n):
         first = cols[0]
-        kept = cols if m % 2 else cols[:-1]
+        kept = cols[:max(0, m + 1 - reach)]
         cols = [first + (first << bits)]
         cols += [c - (c << bits) for c in kept]
     cols = [lanes.unpack(c) for c in cols]
@@ -195,14 +200,16 @@ def pyramid_cross_check(n: int) -> CheckReport:
     (iii).
     (v) is the square identity: of any four adjacent entries, the lower
     left is the sum of the other three (the classical specialization of the
-    trace identity).  Both run on the reference matrices.
+    trace identity).  Both run on the reference matrices; (v) compares
+    adjacent rows whole and scans its cells only on a mismatch
+    (:func:`krawtchouk.generalized.trace_identity_cells`).
     """
     if n < 1:
         raise ValueError("cross identities need order >= 1")
     entry = padded_entries({m: k_reference(m) for m in (n - 1, n, n + 1)}, 0)
+    trace = trace_identity_cells(k_reference(n), 1, -1)
     return check_cells(
-        cross_cells(entry, n, 1, -1)
-        + [("trace identity", trace_cells(k_reference(n), 1, -1))], n=n)
+        cross_cells(entry, n, 1, -1) + [("trace identity", trace)], n=n)
 
 
 def pyramid_plane(direction: str, depth: int, rows: int) -> tuple:

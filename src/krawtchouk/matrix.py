@@ -147,7 +147,7 @@ class Matrix:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {other.shape}")
         if self.ring == ZZ:
-            return self._packed_mul(other)
+            return self._integer_mul(other)
         zero = self.ring.zero
         cols = list(zip(*other.data))
         row_terms = [[(k, x) for k, x in enumerate(row) if x != zero]
@@ -161,7 +161,7 @@ class Matrix:
                for row, a_terms in zip(self.data, row_terms)]
         return Matrix(self.ring, out)
 
-    def _packed_mul(self, other: "Matrix") -> "Matrix":
+    def _integer_mul(self, other: "Matrix") -> "Matrix":
         """Integer product by the rows of ``other``, or by the columns of
         ``self`` when that takes fewer multiply-adds, each added as a plain
         list or packed into lanes, whichever touches fewer entries."""

@@ -113,6 +113,38 @@ def test_involution(n):
     assert core.involution_check(n)
 
 
+@pytest.mark.parametrize("n", [*range(97), 97])
+def test_quarter_square_equals_the_generic_product(n):
+    # even and odd orders square with and without a middle row and column
+    k = core.k_reference(n)
+    assert core._square_by_reversals(k) == k @ k
+
+
+def reflected(rows):
+    """R + rho R + gamma R + rho gamma R, with (rho R)[p][q] =
+    (-1)^q R[n-p][q] and (gamma R)[p][q] = (-1)^p R[p][n-q]: both are
+    involutions and commute, so the sum has both reversals."""
+    n = len(rows) - 1
+    return [[rows[p][q] + (-1) ** q * rows[n - p][q]
+             + (-1) ** p * rows[p][n - q]
+             + (-1) ** (n - p + q) * rows[n - p][n - q]
+             for q in range(n + 1)] for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quarter_square_of_any_matrix_with_both_reversals(seed):
+    # the lanes must hold K K for any such K, not only 2^n I
+    rng = random.Random(3200 + seed)
+    for n in [*range(12), 31, 32]:
+        a = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n + 1)]
+        a = reflected(a)
+        assert all(a[n - p][q] == (-1) ** q * a[p][q]
+                   and a[p][n - q] == (-1) ** p * a[p][q]
+                   for p in range(n + 1) for q in range(n + 1))
+        a = Matrix(ZZ, a)
+        assert core._square_by_reversals(a) == a @ a
+
+
 def test_symmetric_matrices_match_tables():
     for n, table in SYMMETRIC.items():
         assert core.k_symmetric(n) == Matrix(ZZ, table)
@@ -244,6 +276,45 @@ def test_checks_fail_on_a_corrupted_reference(corrupted_reference):
     report = core.ortho_check(4)      # (G K^T)[1,2] = C(4,1) * 1
     assert not report.ok and report.note == "G K^T = K G"
     assert (report.location, report.lhs, report.rhs) == ((1, 2), "4", "0")
+
+
+def spy_products(monkeypatch):
+    """The shapes of every ``Matrix`` product, through ``mul`` or ``@``."""
+    calls = []
+    real = Matrix.mul
+
+    def spy(self, other):
+        calls.append((self.shape, other.shape))
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", spy)
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    return calls
+
+
+def test_involution_squares_a_reflecting_reference_without_a_product(
+        monkeypatch):
+    calls = spy_products(monkeypatch)
+    for n in [*range(13), 96, 97]:
+        assert core.involution_check(n)
+    assert calls == []
+
+
+def test_involution_falls_back_to_the_generic_product(corrupted_reference,
+                                                      monkeypatch):
+    # K[2, 1] + 1 breaks both reversals, so K K is the one product k @ k
+    # and the report is the one it gives
+    orders = range(2, 13)
+    generic = []
+    for n in orders:
+        k = core.k_reference(n)
+        target = Matrix.identity(n + 1, ZZ).scale(2 ** n)
+        generic.append(
+            check_cells([("K^2 = 2^n I", (k @ k).cells(target))], n=n))
+    assert not any(generic)
+    calls = spy_products(monkeypatch)
+    assert [core.involution_check(n) for n in orders] == generic
+    assert calls == [((n + 1, n + 1), (n + 1, n + 1)) for n in orders]
 
 
 def test_suite_failures_name_check_cell_and_sides(corrupted_reference):

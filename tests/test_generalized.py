@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from krawtchouk import cli, core, generalized
+from krawtchouk import cli, core, generalized, hadamard
 from krawtchouk.matrix import Matrix
 from krawtchouk.rings import (ALPHA, BETA, GAUSS, Gaussian, POLY2, RootTwo,
                               parse_poly2, ring_of)
@@ -121,6 +121,7 @@ def test_trace_identity_scans_cells_only_on_a_mismatch(monkeypatch):
         scans.append(k.shape) or real_cells(k, a, b)))
     assert generalized.trace_identity_check(12, 1, -1)
     assert generalized.trace_identity_check(5)
+    assert hadamard.pyramid_cross_check(12)  # the classical check too
     assert scans == []
     # +2 in cell (4, 3) breaks the blocks at (3, 2), (3, 3), (4, 2), (4, 3)
     bad = [list(row) for row in real_k(7, 3, -2).data]

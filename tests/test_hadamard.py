@@ -197,10 +197,12 @@ def test_pyramid_recurrence_construction(n):
     assert built.mat == core.k_genfunc(n).mat
 
 
-@pytest.mark.parametrize("n", [*range(41), 95, 96, 97, 191, 192, 193])
+@pytest.mark.parametrize("n", [*range(41), 95, 96, 97, 191, 192, 193, 255,
+                               256])
 def test_pyramid_quarter_unfolds_to_every_cell(n):
     # even and odd orders keep n//2 + 1 columns with and without a middle
-    # one, and the lane width lane_bits(2^n) grows with n
+    # one, level m keeps only the columns that reach them, and the lane
+    # width lane_bits(2^n) grows with n
     assert hadamard.k_pyramid(n).mat == core.k_reference(n)
 
 

@@ -351,15 +351,15 @@ def test_integer_products_match_rational_products(seed):
         assert product == naive_product(a, b), name
 
 
-def test_every_integer_product_is_packed(monkeypatch):
+def test_every_integer_product_takes_the_integer_route(monkeypatch):
     calls = []
-    packed_mul = Matrix._packed_mul
+    integer_mul = Matrix._integer_mul
 
     def spy(self, other):
         calls.append((self.shape, other.shape))
-        return packed_mul(self, other)
+        return integer_mul(self, other)
 
-    monkeypatch.setattr(Matrix, "_packed_mul", spy)
+    monkeypatch.setattr(Matrix, "_integer_mul", spy)
     half = Matrix(ZZ, [[1, 0], [0, 1]])       # two of four entries nonzero
     third = Matrix(ZZ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     full = Matrix(ZZ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])

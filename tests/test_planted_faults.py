@@ -160,11 +160,17 @@ def pyramid_parity(monkeypatch):
                         + ((n, p, q) == (6, 2, 0)))
 
 
-def lane_carry(monkeypatch):
-    # every decode of 8 lanes carries one out of its top lane
+def lane_carry(monkeypatch, count=8):
+    # every decode of ``count`` lanes carries one out of its top lane
     real = Lanes.unpack
     monkeypatch.setattr(Lanes, "unpack", lambda self, total: real(
-        self, total + ((self.count == 8) << self.bits * self.count)))
+        self, total + ((self.count == count) << self.bits * self.count)))
+
+
+def lane_carry_in_five_lanes(monkeypatch):
+    # the involution suite squares K^(8) in n//2 + 1 = 5 lanes, and decodes
+    # no 8-lane value at N_MAX = 8
+    lane_carry(monkeypatch, 5)
 
 
 # (fault, the guard's message, the suites that meet it)
@@ -176,6 +182,9 @@ GUARDS = [
     (pyramid_parity, "parity broke: adjacent entries of a Krawtchouk row "
                      "always share parity", {"pyramid"}),
     (lane_carry, "a packed value overflowed its lanes",
+     {"construction-equivalence", "hadamard-reduction", "master", "ortho",
+      "spectral", "sympow", "trace"}),
+    (lane_carry_in_five_lanes, "a packed value overflowed its lanes",
      {"construction-equivalence", "hadamard-reduction", "involution",
       "master", "ortho", "spectral", "sympow", "trace"}),
 ]
