@@ -38,11 +38,11 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 
-from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells
 from .rings import QQ, ZZ
 
-# Above this order the CLI warns about output size; the library still works.
+# Above this order the CLI warns about output size, ``pathsum.require_order``
+# refuses path sums, words and twistons, and the rest of the library works.
 DEFAULT_ORDER_BOUND = 64
 
 METHODS = ("GenFunc", "BinomialSum", "PyramidRecurrence")
@@ -237,14 +237,13 @@ def master_check(n: int) -> CheckReport:
 def involution_check(n: int) -> CheckReport:
     """K^2 = 2^n I, exactly.
 
-    When the reference has both reversals of
-    :func:`symmetry_identities_check`, K K is squared from a quarter of its
-    multiply-adds (:func:`_square_by_reversals`); otherwise it is the
-    generic product ``k @ k``.  Both give the same matrix, so the report,
-    its cell and its two sides do not depend on the route.
+    When K has both reversals (:func:`symmetry_identities_check`), K K
+    is two products of its rows and columns 0..n//2
+    (:func:`_square_by_reversals`); otherwise it is ``k @ k``.  Both give
+    the same matrix, so the report does not depend on the route.
     """
     k = k_reference(n)
-    target = Matrix.identity(n + 1, ZZ).scale(2 ** n)
+    target = Matrix.diag([2 ** n] * (n + 1), ZZ)
     square = _square_by_reversals(k) if symmetry_identities_check(n) else k @ k
     return check_cells([("K^2 = 2^n I", square.cells(target))], n=n)
 
@@ -253,31 +252,30 @@ def _square_by_reversals(k: Matrix) -> Matrix:
     """K K for an integer K with K[n-p][q] = (-1)^q K[p][q] and
     K[p][n-q] = (-1)^p K[p][q], from rows and columns 0..n//2.
 
-    Lanes 0..n//2 of every row of K are packed into one int by the codec
-    of :mod:`krawtchouk.lanes`.  For i <= n//2 let E and O be the sums of
-    K[i][k] times packed row k over even and odd k; the row reversal
-    makes K[n-i][k] = (-1)^k K[i][k], so E + O and E - O pack columns
-    0..n//2 of rows i and n-i of K K.  Both reversals give
-    (K K)[i][n-j] = (K K)[n-i][j], and so (K K)[n-i][n-j] = (K K)[i][j],
-    which fill in the other columns.  That is (n//2 + 1) (n + 1) big-int
-    multiply-adds on n//2 + 1 lanes, about a quarter of the generic
-    product's.  The lanes hold the largest row abs-sum of K times its
-    largest |entry|, the bound of :meth:`krawtchouk.matrix.Matrix.mul`.
+    With h = n//2, E is rows 0..h of K on the even columns times the even
+    rows on columns 0..h, and O the same over the odd ones.  The row
+    reversal makes K[n-i][k] = (-1)^k K[i][k], so for i <= h rows i of
+    E + O and E - O are columns 0..h of rows i and n-i of K K.  Both
+    reversals give (K K)[i][n-j] = (K K)[n-i][j], and so
+    (K K)[n-i][n-j] = (K K)[i][j], which fill in the other columns.
+    :meth:`krawtchouk.matrix.Matrix.mul` picks each product's route and
+    lanes: (h + 1) (n + 1) multiply-adds in all, about a quarter of the
+    generic product's.  K^(0) has no odd column, and its O is zero.
     """
     n = k.rows - 1
     half = n // 2
     rows = k.data
-    bound = (max(sum(map(abs, row)) for row in rows)
-             * max(max(map(abs, row)) for row in rows))
-    lanes = Lanes(lane_bits(bound), half + 1)
-    packed = [lanes.pack(row[:half + 1]) for row in rows]
-    evens, odds = packed[0::2], packed[1::2]
+
+    def half_square(start: int) -> Matrix:
+        return (Matrix(ZZ, [row[start::2] for row in rows[:half + 1]])
+                @ Matrix(ZZ, [row[:half + 1] for row in rows[start::2]]))
+
+    even = half_square(0).data
+    odd = half_square(1).data if n else [[0]]
     top, bottom = [], []
-    for row in rows[:half + 1]:
-        even = sum([x * p for x, p in zip(row[0::2], evens) if x])
-        odd = sum([x * p for x, p in zip(row[1::2], odds) if x])
+    for e, o in zip(even, odd):
         # columns 0..n//2 of rows i and n-i
-        lo, hi = lanes.unpack(even + odd), lanes.unpack(even - odd)
+        lo, hi = list(map(operator.add, e, o)), list(map(operator.sub, e, o))
         top.append(lo + hi[:n - half][::-1])
         bottom.append(hi + lo[:n - half][::-1])
     # rows n//2+1..n are rows n-i for i = n - n//2 - 1 down to 0
@@ -340,12 +338,12 @@ def symmetry_identities_check(n: int) -> CheckReport:
     :func:`involution_check` reads it as the gate of its quarter square.
     """
     k = k_reference(n)
-    signs = [(-1) ** i for i in range(n + 1)]
-    rows_reversed = Matrix(ZZ, [list(map(operator.mul, signs, row))
-                                for row in reversed(k.data)])
-    cols_reversed = Matrix(ZZ, [[s * x for x in reversed(row)]
-                                for s, row in zip(signs, k.data)])
+    rows_reversed = [list(row) for row in reversed(k.data)]
+    for row in rows_reversed:
+        row[1::2] = map(operator.neg, row[1::2])
+    cols_reversed = [tuple(map(operator.neg, row[::-1])) if p % 2
+                     else row[::-1] for p, row in enumerate(k.data)]
     return check_cells([
-        ("row reversal symmetry", k.cells(rows_reversed)),
-        ("column reversal symmetry", k.cells(cols_reversed)),
+        ("row reversal symmetry", k.cells(Matrix(ZZ, rows_reversed))),
+        ("column reversal symmetry", k.cells(Matrix(ZZ, cols_reversed))),
     ], n=n)

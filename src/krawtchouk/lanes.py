@@ -25,9 +25,8 @@ or below one leaf.
 
 The codec is shared arithmetic: :func:`krawtchouk.hadamard.reduce_to_symmetric`,
 :func:`krawtchouk.hadamard.k_pyramid`, :func:`krawtchouk.sympow.sym_group_power`,
-the word tallies of :func:`krawtchouk.pathsum.oracle_matrix`, the integer
-products of :meth:`krawtchouk.matrix.Matrix.mul` and the quarter square of
-:func:`krawtchouk.core.involution_check` each pack their own values.
+the word tallies of :func:`krawtchouk.pathsum.oracle_matrix` and the integer
+products of :meth:`krawtchouk.matrix.Matrix.mul` each pack their own values.
 A product packs only when its scaling factor has more nonzeros than there
 are rows to pack and rows to unpack, since the codec touches each of those
 rows once; with fewer, as for a diagonal, skew or tridiagonal factor, it

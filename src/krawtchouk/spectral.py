@@ -135,7 +135,7 @@ def spectral_suite_check(n: int) -> CheckReport:
     ref, b = k_reference(n), binomial_matrix(n)
     factors = eigen_factors(n)
     bx = b.map(RootTwo, ROOT2) @ factors.x
-    target = Matrix.identity(n + 1, ROOT2).scale(RootTwo(2 ** n))
+    target = Matrix.diag([RootTwo(2 ** n)] * (n + 1), ROOT2)
     # column j of B X is v(+, j) for 2j <= n and v(-, n-j) beyond
     columns = [(j, j, "+") if 2 * j <= n else (j, n - j, "-")
                for j in range(n + 1)]

@@ -292,12 +292,18 @@ def spy_products(monkeypatch):
     return calls
 
 
-def test_involution_squares_a_reflecting_reference_without_a_product(
+def test_involution_squares_a_reflecting_reference_by_two_half_products(
         monkeypatch):
+    # rows 0..n//2 on the even columns times the even rows on columns
+    # 0..n//2, then the same over the odd ones; no (n+1) x (n+1) factor
     calls = spy_products(monkeypatch)
-    for n in [*range(13), 96, 97]:
+    for n in [*range(1, 13), 96, 97]:
+        calls.clear()
         assert core.involution_check(n)
-    assert calls == []
+        top = n // 2 + 1
+        assert calls == [((top, inner), (inner, top))
+                         for inner in ((n + 2) // 2, (n + 1) // 2)]
+        assert all((n + 1, n + 1) not in pair for pair in calls)
 
 
 def test_involution_falls_back_to_the_generic_product(corrupted_reference,

@@ -9,6 +9,7 @@ its parameters other than ``self``, ``cls`` and names that start with
 construction returns its value and a check returns its report.  In
 ``verify.py`` only ``run_suites`` reads ``n_max`` and only ``SUITES``
 reads an order cap, and README's table of suite parts is ``SUITES``.
+The modules that import the lane codec are the ones its docstring names.
 Importing the package loads none of the heavy standard modules it does
 not need."""
 
@@ -309,6 +310,19 @@ def test_only_the_exactness_guards_raise_assertion_error():
     assert [scope for path in MODULES
             for scope in assertion_raises(path.read_text(encoding="utf-8"),
                                           path.stem)] == EXACTNESS_GUARDS
+
+
+def test_lanes_docstring_names_exactly_the_modules_that_import_it():
+    # a codec user added or dropped without its docstring line fails here
+    importers = {path.stem for path in MODULES
+                 if any(isinstance(node, ast.ImportFrom)
+                        and (node.level, node.module) in {
+                            (1, "lanes"), (0, "krawtchouk.lanes")}
+                        for node in ast.walk(ast.parse(
+                            path.read_text(encoding="utf-8"))))}
+    docstring = ast.get_docstring(ast.parse(
+        (PACKAGE / "lanes.py").read_text(encoding="utf-8")))
+    assert importers == set(re.findall(r"krawtchouk\.(\w+)", docstring))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -64,6 +64,27 @@ FAULTS = [
     (sympow, "box_power", 5, (0, 0),
      {"sympow": [{"n": 5, "check": "G^box H^kron = H^kron F^box",
                   "location": [0, 1], "lhs": "7", "rhs": "5"}]}),
+    # every A^alg at order 7 gains 2 at [2, 3]: (H^grp G^alg)[0, 3] gains
+    # 2 H^grp[0, 2] = 2, while row 0 of F^alg keeps the left side; and
+    # [L, R][1, 3] gains 2 L[1, 2] - 2 R[1, 2] = 4 against N[1, 3] = 0
+    (sympow, "sym_algebra_power", 7, (2, 3),
+     {"master": [{"n": 7, "check": "F^alg H^grp = H^grp G^alg",
+                  "location": [0, 3], "lhs": "1", "rhs": "3"}],
+      "sympow": [{"n": 7, "check": "[L,R] = N (plain bracket)",
+                  "location": [1, 3], "lhs": "4", "rhs": "0"}]}),
+    # the cross-check of random instance 0 reads 9 + 2 at [2, 3]; at order
+    # 7 no suite reports it, because the functoriality part stops at
+    # KRON_CAP = 6
+    (sympow, "sym_algebra_power_by_derivative", 5, (2, 3),
+     {"sympow": [{"n": 5, "check": "derivative cross-check",
+                  "location": [0, 2, 3], "lhs": "11", "rhs": "9"}]}),
+    # (K Gamma)[2, 3] = K(7, 2, 3) C(7, 3) = -105, + 2 in the Sylvester
+    # reduction, which only the hadamard-reduction suite reads
+    (hadamard, "reduce_to_symmetric", 7, (2, 3),
+     {"hadamard-reduction": [{"n": 7,
+                              "check": "Sylvester reduction = K Gamma",
+                              "location": [2, 3], "lhs": "-103",
+                              "rhs": "-105"}]}),
     # twiston_energy(7, 3, 2) is K(7, 2, 3) = -3 + 2; only the construction
     # equivalence reads the twistons
     (pathsum, "twiston_energy", 7, (3, 2),
