@@ -149,6 +149,7 @@ def _write(outdir: str, name: str, text: str) -> str:
 
 
 def cmd_snake(args) -> int:
+    core.require_order(args.n, "snake")  # one file per column
     k = generalized.k_phase(args.n, parse_phi(args.phi))
     svg = generalized.snake_svg(k)  # refuses order 0 before any file exists
     os.makedirs(args.out or ".", exist_ok=True)

@@ -41,9 +41,23 @@ from math import comb, lcm
 from .matrix import CheckReport, Matrix, check_cells
 from .rings import QQ, ZZ
 
-# Above this order the CLI warns about output size, ``pathsum.require_order``
-# refuses path sums, words and twistons, and the rest of the library works.
+# Above this order the CLI warns about output size, :func:`require_order`
+# refuses path sums, words, twistons, pyramid planes and snake figures, and
+# the rest of the library works.
 DEFAULT_ORDER_BOUND = 64
+
+
+def require_order(n: int, what: str) -> None:
+    """Refuse an order above ``DEFAULT_ORDER_BOUND``, before allocating.
+
+    Every word or subset of n holds up to n positions, a twiston row n + 1
+    energies, a pyramid plane's last row n + 1 entries and a snake figure
+    n files, so a small count alone does not bound the work.
+    """
+    if n > DEFAULT_ORDER_BOUND:
+        raise ValueError(f"order {n} exceeds the {what} bound "
+                         f"{DEFAULT_ORDER_BOUND}")
+
 
 METHODS = ("GenFunc", "BinomialSum", "PyramidRecurrence")
 
@@ -252,34 +266,55 @@ def _square_by_reversals(k: Matrix) -> Matrix:
     """K K for an integer K with K[n-p][q] = (-1)^q K[p][q] and
     K[p][n-q] = (-1)^p K[p][q], from rows and columns 0..n//2.
 
-    With h = n//2, E is rows 0..h of K on the even columns times the even
-    rows on columns 0..h, and O the same over the odd ones.  The row
-    reversal makes K[n-i][k] = (-1)^k K[i][k], so for i <= h rows i of
-    E + O and E - O are columns 0..h of rows i and n-i of K K.  Both
-    reversals give (K K)[i][n-j] = (K K)[n-i][j], and so
-    (K K)[n-i][n-j] = (K K)[i][j], which fill in the other columns.
-    :meth:`krawtchouk.matrix.Matrix.mul` picks each product's route and
-    lanes: (h + 1) (n + 1) multiply-adds in all, about a quarter of the
-    generic product's.  K^(0) has no odd column, and its O is zero.
+    With h = n//2, :func:`_times_by_row_reversal` gives columns 0..h of
+    K K as K times columns 0..h of K, from rows 0..h.  Both reversals give
+    (K K)[i][n-j] = (K K)[n-i][j], and so (K K)[n-i][n-j] = (K K)[i][j],
+    which fill in the other columns: (h + 1)^2 (n + 1) multiply-adds in
+    all, about a quarter of the generic product's (n + 1)^3.
+    """
+    n = k.rows - 1
+    half = n // 2
+    left = _times_by_row_reversal(
+        k, Matrix(ZZ, [row[:half + 1] for row in k.data])).data
+    return Matrix(ZZ, [row + left[n - i][:n - half][::-1]
+                       for i, row in enumerate(left)])
+
+
+def _times_by_row_reversal(k: Matrix, x: Matrix) -> Matrix:
+    """K X from rows 0..n//2 of a K of n + 1 rows with the row reversal
+    K[n-i][j] = (-1)^j K[i][j]; otherwise ``k @ x``.
+
+    With h = n//2, E is rows 0..h of K on its even columns times the even
+    rows of X, and O the same over the odd columns and rows.  Row i of
+    K X is E + O.  The row reversal makes row n-i of K row i with its odd
+    entries negated, so row n-i of K X is E - O.  The two products make
+    (h + 1) (n + 1) multiply-adds per column of X, about half the generic
+    product's, and :meth:`krawtchouk.matrix.Matrix.mul` picks each one's
+    route and lanes.  Rows h+1..n of K are read only to check the
+    reversal on the matrix given.  A K without it, with no odd column, or
+    with a width that X cannot take is multiplied by ``k @ x``, so a
+    report on the product, or its error, does not depend on the route.
     """
     n = k.rows - 1
     half = n // 2
     rows = k.data
+    # an odd entry and its reversal add to 0, which allocates no int
+    if (k.cols < 2 or k.cols != x.rows
+            or any(rows[n - i][::2] != rows[i][::2]
+                   or any(map(operator.add, rows[n - i][1::2], rows[i][1::2]))
+                   for i in range(n - half))):
+        return k @ x
 
-    def half_square(start: int) -> Matrix:
-        return (Matrix(ZZ, [row[start::2] for row in rows[:half + 1]])
-                @ Matrix(ZZ, [row[:half + 1] for row in rows[start::2]]))
+    def half_product(start: int) -> tuple:
+        return (Matrix(k.ring, [row[start::2] for row in rows[:half + 1]])
+                @ Matrix(x.ring, x.data[start::2])).data
 
-    even = half_square(0).data
-    odd = half_square(1).data if n else [[0]]
     top, bottom = [], []
-    for e, o in zip(even, odd):
-        # columns 0..n//2 of rows i and n-i
-        lo, hi = list(map(operator.add, e, o)), list(map(operator.sub, e, o))
-        top.append(lo + hi[:n - half][::-1])
-        bottom.append(hi + lo[:n - half][::-1])
+    for e, o in zip(half_product(0), half_product(1)):
+        top.append(list(map(operator.add, e, o)))
+        bottom.append(list(map(operator.sub, e, o)))
     # rows n//2+1..n are rows n-i for i = n - n//2 - 1 down to 0
-    return Matrix(ZZ, top + bottom[:n - half][::-1])
+    return Matrix(k.ring, top + bottom[:n - half][::-1])
 
 
 def ortho_check(n: int) -> CheckReport:

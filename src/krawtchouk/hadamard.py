@@ -32,7 +32,8 @@ from __future__ import annotations
 from math import comb
 from operator import add, neg, sub
 
-from .core import KrawtchoukMatrix, genfunc_column, k_entry, k_reference
+from .core import (KrawtchoukMatrix, genfunc_column, k_entry, k_reference,
+                   require_order)
 from .generalized import cross_cells, padded_entries, trace_identity_cells
 from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells
@@ -160,23 +161,34 @@ def k_pyramid(n: int) -> KrawtchoukMatrix:
     bits wide, because every entry of level m <= n is at most
     C(m, p) <= 2^m in size (Vandermonde: |K[p][q]| <= sum_k C(q, k)
     C(m-q, p-k) = C(m, p)); the width is a bound, so still no binomial is
-    computed.  Each of the n//2 + 1 columns of level n is unpacked once
-    into n + 1 entries (the decode raises only on a carry out of the top
-    lane), and the other columns follow by the column reflection.
+    computed.
+
+    Reversing the lanes of a level-m column maps P to P and S to -S, so
+    it maps column q = S^q P^(m-q) [1] to (-1)^q times itself: the row
+    reflection K[m-p][q] = (-1)^q K[p][q].  So each of the n//2 + 1
+    columns of level n has only lanes 0..n//2 read (the decode raises
+    only on a carry out of the top lane, which it checks on the whole
+    value), rows n//2+1..n follow by the row reflection, and the other
+    columns by the column reflection.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     lanes = Lanes(lane_bits(1 << n), n + 1)
     bits = lanes.bits
-    reach = n - n // 2  # ceil(n/2)
+    half = n // 2
+    reach = n - half  # ceil(n/2)
     cols = [1]
     for m in range(n):
         first = cols[0]
         kept = cols[:max(0, m + 1 - reach)]
         cols = [first + (first << bits)]
         cols += [c - (c << bits) for c in kept]
-    cols = [lanes.unpack(c) for c in cols]
-    for q in range(n - n // 2 - 1, -1, -1):
+    cols = [lanes.unpack(c, half + 1) for c in cols]
+    for q, col in enumerate(cols):
+        # rows n//2+1..n are rows n-p for p = ceil(n/2) - 1 down to 0
+        tail = col[:reach][::-1]
+        col += map(neg, tail) if q % 2 else tail
+    for q in range(reach - 1, -1, -1):
         col = cols[q].copy()
         col[1::2] = map(neg, col[1::2])
         cols.append(col)
@@ -220,12 +232,14 @@ def pyramid_plane(direction: str, depth: int, rows: int) -> tuple:
     are built from the bottom row (a Krawtchouk matrix row) upwards by
     exact halving.  Row r of the result always equals the appropriate
     column/row of K^(depth + r), which is what the seeds guarantee and the
-    tests pin.
+    tests pin.  Its last order, depth + rows - 1, is refused above
+    ``DEFAULT_ORDER_BOUND`` before any row is built.
     """
     if rows < 1:
         raise ValueError("need at least one row")
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    require_order(depth + rows - 1, "pyramid plane")
     if direction in ("west-down", "east-down"):
         # seed: the last (west) or first (east) column of K^(depth); rule:
         # new[i] = old[i] + old[i-1] (west) or old[i] - old[i-1] (east)

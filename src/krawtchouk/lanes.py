@@ -21,7 +21,9 @@ nearest the middle until every part is at most one leaf wide, then reads
 each part lane by lane.  That costs O(m L log m) for the halving and
 O(LEAF_BITS) per lane for the leaves.  The digits, the widths and the
 overflow error are those of the lane-by-lane loop, which is what runs at
-or below one leaf.
+or below one leaf.  ``unpack`` can also read only the first lanes: the
+same digits as the prefix of a full read, after the same guard on the
+whole value, so a carry out of the top lane still raises.
 
 The codec is shared arithmetic: :func:`krawtchouk.hadamard.reduce_to_symmetric`,
 :func:`krawtchouk.hadamard.k_pyramid`, :func:`krawtchouk.sympow.sym_group_power`,
@@ -78,20 +80,23 @@ class Lanes:
         return (self.pack(values[:half])
                 + (self.pack(values[half:]) << self.bits * half))
 
-    def unpack(self, total: int) -> list:
-        """The ``count`` balanced base-2^L digits of ``total``, lowest first.
+    def unpack(self, total: int, first: int | None = None) -> list:
+        """The balanced base-2^L digits of ``total``, lowest first: all
+        ``count`` of them, or the ``first`` lowest.
 
         Adding the bias makes every digit non-negative; what is left above
         the last lane is the remainder, which must vanish.  It catches a
-        carry out of the top lane only.
+        carry out of the top lane only, and is checked on the whole value
+        even when only the first lanes are read.
         """
         lifted = total + self._bias
         if lifted >> (self.bits * self.count):
             raise AssertionError("a packed value overflowed its lanes")
-        if self.count <= self._leaf:  # the loop of _read, without a call
+        shifts = self.shifts[:first]
+        if len(shifts) <= self._leaf:  # the loop of _read, without a call
             mask, offset = self._mask, self._offset
-            return [((lifted >> s) & mask) - offset for s in self.shifts]
-        return self._read(lifted, self.shifts)
+            return [((lifted >> s) & mask) - offset for s in shifts]
+        return self._read(lifted, shifts)
 
     def _read(self, part: int, shifts: range) -> list:
         """The digits of a non-negative ``part`` at ``shifts``: lane by lane

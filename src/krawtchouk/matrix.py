@@ -51,16 +51,15 @@ class Matrix:
     __slots__ = ("ring", "data", "rows", "cols")
 
     def __init__(self, ring: Ring, rows):
-        data = tuple(tuple(row) for row in rows)
+        data = tuple(map(tuple, rows))
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
         self.ring = ring
         self.data = data
         self.rows = len(data)
-        self.cols = width
+        self.cols = len(data[0])
 
     # -- constructors ------------------------------------------------------
 
@@ -188,17 +187,22 @@ class Matrix:
 
     __matmul__ = mul
 
-    def add(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
+        """op on matching entries, row by row, of two matrices of one ring
+        and shape (the errors of both ``add`` and ``sub``)."""
         self._check_ring(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return Matrix(self.ring, [[x + y for x, y in zip(r1, r2)]
+        return Matrix(self.ring, [list(map(op, r1, r2))
                                   for r1, r2 in zip(self.data, other.data)])
+
+    def add(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(operator.add, other)
 
     __add__ = add
 
     def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(-1))
+        return self._entrywise(operator.sub, other)
 
     __sub__ = sub
 

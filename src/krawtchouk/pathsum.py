@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from math import comb
 
-from .core import DEFAULT_ORDER_BOUND
+from .core import require_order
 from .lanes import Lanes, lane_bits
 from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ring_of
@@ -71,17 +71,6 @@ def require_enumerable(n: int, p: int) -> None:
         if count > WORD_BOUND:
             raise ValueError(f"C({n},{p}) exceeds the enumeration bound "
                              f"{WORD_BOUND}")
-
-
-def require_order(n: int, what: str) -> None:
-    """Refuse an order above ``DEFAULT_ORDER_BOUND``, before allocating.
-
-    Every word or subset of n holds up to n positions, and a twiston row
-    n + 1 energies, so a small C(n,p) alone does not bound the work.
-    """
-    if n > DEFAULT_ORDER_BOUND:
-        raise ValueError(f"order {n} exceeds the {what} bound "
-                         f"{DEFAULT_ORDER_BOUND}")
 
 
 def path_weight(word: str, q: int, alpha, beta):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .core import k_reference
+from .core import _times_by_row_reversal, k_reference
 from .matrix import CheckReport, Matrix, check_cells, vector_cells
 from .rings import ROOT2, RootTwo, ZZ, sqrt2_power
 
@@ -63,7 +63,17 @@ def binomial_transform_check(n: int) -> CheckReport:
 
 
 def _transform_check(n: int, k: Matrix, b: Matrix):
-    return "K B = B D", (k @ b).cells(b @ skew_power_matrix(n))
+    """K B = B D as one named part for
+    :func:`krawtchouk.matrix.check_cells`.
+
+    K B comes from rows 0..n//2 of K and the row reversal
+    K[n-i][j] = (-1)^j K[i][j]
+    (:func:`krawtchouk.core._times_by_row_reversal`), which is checked on
+    ``k`` itself: a K without it is multiplied whole, so its report is the
+    generic product's.
+    """
+    return "K B = B D", _times_by_row_reversal(k, b).cells(
+        b @ skew_power_matrix(n))
 
 
 def k_from_BDBinv(n: int) -> Matrix:

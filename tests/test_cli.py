@@ -288,6 +288,21 @@ def test_snake_refuses_order_zero_before_writing(tmp_path, capsys):
         assert not outdir.exists()
 
 
+def test_snake_refuses_an_order_above_the_bound_before_writing(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("k_phase ran")
+
+    monkeypatch.setattr(generalized, "k_phase", refuse)
+    outdir = tmp_path / "figs"
+    n = core.DEFAULT_ORDER_BOUND + 1
+    code, out, err = run_cli(capsys, "snake", "--n", str(n), "--out",
+                             str(outdir))
+    assert (code, out) == (2, "")
+    assert f"order {n} exceeds the snake bound" in err
+    assert not outdir.exists()
+
+
 def test_macwilliams_command(capsys):
     code, out, _ = run_cli(capsys, "macwilliams", "--n", "3",
                            "--basis", "110")
@@ -329,6 +344,26 @@ def test_pyramid_command(capsys):
     code, _, err = run_cli(capsys, "pyramid", "--direction", "west-down",
                            "--depth", "0", "--rows", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("direction", hadamard.DIRECTIONS)
+def test_pyramid_refuses_a_last_order_above_the_bound(capsys, monkeypatch,
+                                                      direction):
+    # the last row has order depth + rows - 1; at the bound it is built
+    bound = core.DEFAULT_ORDER_BOUND
+    plane = hadamard.pyramid_plane(direction, 4, bound - 3)
+    assert len(plane[-1]) == bound + 1
+
+    def refuse(*args):
+        raise AssertionError("the plane was built")
+
+    monkeypatch.setattr(hadamard, "genfunc_column", refuse)
+    monkeypatch.setattr(hadamard, "k_entry", refuse)
+    for depth, rows in ((4, bound - 2), (bound + 1, 1)):
+        code, out, err = run_cli(capsys, "pyramid", "--direction", direction,
+                                 "--depth", str(depth), "--rows", str(rows))
+        assert (code, out) == (2, "")
+        assert f"order {bound + 1} exceeds the pyramid plane bound" in err
 
 
 def test_phi_parsing():

@@ -120,6 +120,54 @@ def test_quarter_square_equals_the_generic_product(n):
     assert core._square_by_reversals(k) == k @ k
 
 
+@pytest.mark.parametrize("n", range(98))
+def test_product_by_the_row_reversal_equals_the_generic_product(n):
+    # K B = B D's own factor, and integer factors of any width and sign
+    k = core.k_reference(n)
+    rng = random.Random(3400 + n)
+    factors = [spectral.binomial_matrix(n)] + [
+        Matrix(ZZ, [[rng.randint(-9, 9) for _ in range(width)]
+                    for _ in range(n + 1)]) for width in (1, 2, 7)]
+    for x in factors:
+        assert core._times_by_row_reversal(k, x) == k @ x
+
+
+def recorded_products(monkeypatch):
+    calls = []
+    real = Matrix.mul
+
+    def recording(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "mul", recording)
+    monkeypatch.setattr(Matrix, "__matmul__", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 96])
+@pytest.mark.parametrize("j", [0, 1, "n//2"])
+def test_a_k_without_the_row_reversal_takes_the_generic_product(monkeypatch,
+                                                                n, j):
+    # one changed cell below row n//2, in an even or an odd column, which
+    # only the reversal check reads
+    j = n // 2 if j == "n//2" else j
+    rows = [list(row) for row in core.k_reference(n).data]
+    rows[n][j] += 1
+    k, b = Matrix(ZZ, rows), spectral.binomial_matrix(n)
+    expected = k @ b
+    with monkeypatch.context() as patch:
+        calls = recorded_products(patch)
+        assert core._times_by_row_reversal(k, b) == expected
+    assert calls == [(k, b)]
+    # so K B = B D names the cell the generic product breaks
+    monkeypatch.setattr(spectral, "k_reference", lambda order: k)
+    generic = check_cells([("K B = B D", expected.cells(
+        b @ spectral.skew_power_matrix(n)))], n=n)
+    assert spectral.binomial_transform_check(n) == generic
+    assert not generic.ok and generic.location == (n, j)
+
+
 def reflected(rows):
     """R + rho R + gamma R + rho gamma R, with (rho R)[p][q] =
     (-1)^q R[n-p][q] and (gamma R)[p][q] = (-1)^p R[p][n-q]: both are

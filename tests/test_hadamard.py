@@ -141,14 +141,20 @@ def test_unpack_reads_the_digits_of_the_lane_by_lane_loop(bits):
         totals = [lanes.pack(carried), -lanes.pack(carried), -1, 0]
         totals += [rng.randrange(-(1 << width), 1 << width)
                    for _ in range(6)]
+        # a read of the first lanes, within one leaf or across several,
+        # is the prefix of the full read and keeps its guard
+        firsts = sorted({1, count // 2 + 1, count - 1, count} - {0})
         for total in totals:
             try:
                 expected = unpack_lane_by_lane(total, bits, count)
             except AssertionError:
-                with pytest.raises(AssertionError, match="overflowed"):
-                    lanes.unpack(total)
+                for first in [None] + firsts:
+                    with pytest.raises(AssertionError, match="overflowed"):
+                        lanes.unpack(total, first)
             else:
                 assert lanes.unpack(total) == expected
+                for first in firsts:
+                    assert lanes.unpack(total, first) == expected[:first]
 
 
 def test_lanes_carry_sums_and_products_of_their_values():
@@ -197,12 +203,12 @@ def test_pyramid_recurrence_construction(n):
     assert built.mat == core.k_genfunc(n).mat
 
 
-@pytest.mark.parametrize("n", [*range(41), 95, 96, 97, 191, 192, 193, 255,
-                               256])
+@pytest.mark.parametrize("n", range(257))
 def test_pyramid_quarter_unfolds_to_every_cell(n):
     # even and odd orders keep n//2 + 1 columns with and without a middle
-    # one, level m keeps only the columns that reach them, and the lane
-    # width lane_bits(2^n) grows with n
+    # one and decode their top n//2 + 1 rows, level m keeps only the
+    # columns that reach them, and the lane width lane_bits(2^n) grows
+    # with n
     assert hadamard.k_pyramid(n).mat == core.k_reference(n)
 
 

@@ -184,8 +184,9 @@ def pyramid_parity(monkeypatch):
 def lane_carry(monkeypatch, count=8):
     # every decode of ``count`` lanes carries one out of its top lane
     real = Lanes.unpack
-    monkeypatch.setattr(Lanes, "unpack", lambda self, total: real(
-        self, total + ((self.count == count) << self.bits * self.count)))
+    monkeypatch.setattr(Lanes, "unpack", lambda self, total, *first: real(
+        self, total + ((self.count == count) << self.bits * self.count),
+        *first))
 
 
 def lane_carry_in_five_lanes(monkeypatch):
